@@ -12,10 +12,10 @@
 /// --stats-out` and the bench binaries emit this format so
 /// the perf trajectory of the repo is diffable across PRs.
 ///
-/// Schema (version 5):
+/// Schema (version 6):
 ///
 ///   {
-///     "schema": "pira.stats", "version": 5,
+///     "schema": "pira.stats", "version": 6,
 ///     "provenance": {"tool", "tool_version", "git_sha", "compiler",
 ///                    "build_type", "ndebug"},
 ///     "strategy": "combined",            // when known
@@ -36,7 +36,7 @@
 /// when a compilation cache was live — a "cache" block: {"mode",
 /// "disk", "memory_hits", "disk_hits", "misses", "inserts",
 /// "corrupt_entries", "write_failures", "verify_mismatches",
-/// "hit_rate"} (pipeline/Cache.h).
+/// "trimmed_entries", "hit_rate"} (pipeline/Cache.h).
 /// Version history: v2 added "diagnostic" per result and the batch
 /// "failures"/"degradations" sections and "failed"/"degraded"
 /// aggregates; v3 added the batch "cache" block; v4 added the
@@ -49,6 +49,8 @@
 /// for --isolate runs — child counters/histograms/trace events merged
 /// into the parent registries via the result-doc v2 telemetry block
 /// (pipeline/Worker.h).
+/// v6 removed "remote_hits" from the batch "cache" block, along with
+/// the remote cache tier that was its only source.
 ///
 /// Byte-identity contract: everything above the "histograms" key is
 /// deterministic for deterministic inputs (counters and histogram
@@ -74,7 +76,7 @@ class MachineModel;
 
 /// Schema constants; bump the version whenever a field changes meaning.
 inline constexpr const char *StatsSchemaName = "pira.stats";
-inline constexpr int StatsSchemaVersion = 5;
+inline constexpr int StatsSchemaVersion = 6;
 
 /// The tool version stamped into provenance blocks and --version output.
 inline constexpr const char *PiraVersionString = "0.6.0";

@@ -280,8 +280,7 @@ Expected<WorkerJob> pira::decodeWorkerJob(const json::Value &Doc) {
   return Job;
 }
 
-GuardedResult pira::runWorkerJob(const WorkerJob &Job,
-                                 CompilationCache *Cache) {
+GuardedResult pira::runWorkerJob(const WorkerJob &Job) {
   faultinject::ScopedKey Key(Job.FaultKey);
   GuardedResult G;
   auto Fail = [&](Status S) {
@@ -304,23 +303,7 @@ GuardedResult pira::runWorkerJob(const WorkerJob &Job,
     S.addContext("worker job IR");
     return Fail(std::move(S));
   }
-
-  // The daemon's warm tier: same key discipline and same
-  // only-clean-non-degraded insert rule as compileBatch.
-  std::string CacheKey;
-  if (Cache != nullptr) {
-    CacheKey = computeCacheKey(*F, *Machine, Job.Opts);
-    if (std::optional<PipelineResult> Hit = Cache->lookup(CacheKey)) {
-      G.Result = std::move(*Hit);
-      G.Outcome.Requested = strategyName(Job.Opts.Strategy);
-      G.Outcome.Used = G.Outcome.Requested;
-      return G;
-    }
-  }
-  G = compileFunctionGuarded(*F, *Machine, Job.Opts);
-  if (Cache != nullptr && G.Result.Success && !G.Outcome.Degraded)
-    Cache->insert(CacheKey, G.Result);
-  return G;
+  return compileFunctionGuarded(*F, *Machine, Job.Opts);
 }
 
 int pira::runWorkerMode(std::istream &In, std::ostream &Out,
@@ -341,9 +324,7 @@ int pira::runWorkerMode(std::istream &In, std::ostream &Out,
   }
 
   // Configure explicitly even when empty: the child must mirror the
-  // parent's harness, not adopt PIRA_FAULT on its own. The server never
-  // takes this path — fault state is process-global and a multi-tenant
-  // daemon must not let one request rearm it for everyone.
+  // parent's harness, not adopt PIRA_FAULT on its own.
   if (!faultinject::configure(Job->FaultSpec, Error)) {
     Err << "pirac --worker: bad fault spec: " << Error << '\n';
     return 3;

@@ -68,10 +68,7 @@ json::Value encodeWorkerJob(const std::string &IRText,
                             const BatchOptions &Opts,
                             const std::string &FaultSpec, uint64_t FaultKey);
 
-/// A decoded pira.job document: everything runWorkerJob needs. This is
-/// the shared currency between the two consumers of the protocol — the
-/// sandboxed `pirac --worker` child and the `pirac serve` daemon — so a
-/// job means exactly the same thing whichever door it arrives through.
+/// A decoded pira.job document: everything runWorkerJob needs.
 struct WorkerJob {
   std::string IRText;      ///< Canonical textual IR of the function.
   std::string MachineText; ///< Canonical machine description.
@@ -83,19 +80,15 @@ struct WorkerJob {
 
 /// Decodes and validates a pira.job document. Errors are ProtocolError
 /// diagnostics naming the malformed piece; the worker maps them to exit
-/// 3, the server to a `protocol-error` response.
+/// 3.
 Expected<WorkerJob> decodeWorkerJob(const json::Value &Doc);
 
 /// Executes one decoded job through the ordinary guarded pipeline:
-/// parse the machine and IR, consult \p Cache (when non-null — the
-/// daemon's permanently warm tier; null for one-shot workers), run
-/// compileFunctionGuarded, insert clean non-degraded successes back.
-/// Parse failures travel inside the result like any compile failure.
-/// Does NOT touch the process-global fault-injection config; the caller
-/// decides whether the job's FaultSpec may be adopted (the single-job
-/// worker does, the multi-tenant server refuses).
-GuardedResult runWorkerJob(const WorkerJob &Job,
-                           CompilationCache *Cache = nullptr);
+/// parse the machine and IR, then run compileFunctionGuarded. Parse
+/// failures travel inside the result like any compile failure. Does NOT
+/// touch the process-global fault-injection config; runWorkerMode adopts
+/// the job's FaultSpec before calling this.
+GuardedResult runWorkerJob(const WorkerJob &Job);
 
 /// The child's answer: the ladder record plus the full pipeline result
 /// (successes carry the allocated code, schedule, and symbolic twin so
