@@ -33,7 +33,6 @@
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "sched/ListScheduler.h"
-#include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -80,21 +79,6 @@ void BM_TransitiveClosure(benchmark::State &State) {
 }
 BENCHMARK(BM_TransitiveClosure)
     ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
-
-void BM_TransitiveClosureParallel(benchmark::State &State) {
-  // The same reduced closure with independent components closed on the
-  // thread pool (the single-function --jobs path). Byte-identical result;
-  // the delta against BM_TransitiveClosure is pure component parallelism.
-  Function F = makeBlock(static_cast<unsigned>(State.range(0)));
-  MachineModel M = MachineModel::rs6000(32);
-  DependenceGraph G(F, 0, M);
-  ThreadPool Pool;
-  for (auto _ : State) {
-    BitMatrix R = G.reachability(&Pool);
-    benchmark::DoNotOptimize(R.count());
-  }
-}
-BENCHMARK(BM_TransitiveClosureParallel)->Arg(1024)->Arg(4096)->UseRealTime();
 
 void BM_TransitiveClosureUnreduced(benchmark::State &State) {
   // Word-parallel Warshall straight over the adjacency matrix — the

@@ -35,24 +35,20 @@
 //          [--corpus-seed N]
 //          [--no-degrade] [--fault-inject site:n[,site:n...]]
 //          [--cache off|on|verify] [--cache-dir DIR] [--cache-max-mb N]
-//          [--isolate] [--retries N] [--retry-backoff-ms N]
-//          [--child-timeout-ms N] [--child-mem-mb N]
-//          [--journal FILE] [--resume]
 //          [--dump-graphs]
 //          [--trace-out trace.json] [--stats-out stats.json]
 //          [--metrics-out metrics.prom] [--progress]
 //          [--time-passes] [--version]
 //
 // Observability sinks: --stats-out writes the versioned "pira.stats"
-// JSON report, --trace-out the merged Chrome trace (in --isolate runs
-// the children's phase spans nest under the parent's spawn/ladder
-// spans, each under its real pid), and --metrics-out the counter and
-// histogram registries in the Prometheus/OpenMetrics text format. Each
-// sink accepts "-" for stdout, but only one may take it (exit 2
-// otherwise), and when one does, the human-readable output moves to
-// stderr so the machine-readable stream stays clean. --progress draws a
-// rate-limited, TTY-aware live status line on stderr while a batch
-// runs. --version prints the build-provenance line and exits.
+// JSON report, --trace-out the Chrome trace of the phase spans, and
+// --metrics-out the counter and histogram registries in the
+// Prometheus/OpenMetrics text format. Each sink accepts "-" for stdout,
+// but only one may take it (exit 2 otherwise), and when one does, the
+// human-readable output moves to stderr so the machine-readable stream
+// stays clean. --progress draws a rate-limited, TTY-aware live status
+// line on stderr while a batch runs. --version prints the
+// build-provenance line and exits.
 //
 // --strategy oracle runs the exact branch-and-bound search
 // (pipeline/Oracle.h) — provably minimum-makespan spill-free code for
@@ -83,27 +79,13 @@
 // trimming oldest entries first; entries written by the current run are
 // never trimmed.
 //
-// --isolate compiles every ladder rung in a sandboxed child process
-// (`pirac --worker`, an internal mode that reads one job document from
-// stdin): a crash, OOM kill, or hard hang in one function becomes a
-// structured ChildCrashed / ChildKilled / ChildTimeout diagnostic and
-// the batch keeps going. --retries N retries spawn failures and killed
-// children with deterministic exponential backoff; --child-timeout-ms
-// arms a per-child wall-clock SIGKILL watchdog; --child-mem-mb caps the
-// child's address space (leave it off under sanitizers).
-//
-// --journal FILE records every finished function in a crash-safe
-// append-only journal; --resume (requires --journal) replays recorded
-// positions instead of recompiling, so a batch killed partway — even
-// with kill -9 — reproduces the uninterrupted run's report (modulo
-// "timers"/"counters") on the second invocation.
+// An interrupted batch restarts by rerunning it with the same
+// --cache-dir: the functions that finished come back as disk hits.
 //
 // Exit codes are a stable contract: 0 = everything compiled and
 // verified clean; 1 = at least one input or compile/verify failure
 // (including cache-verify mismatches); 2 = usage errors (bad flag,
-// missing value, --resume without --journal); 3 = internal errors — an
-// unusable or mismatched journal, journal append failures, a report
-// that could not be written, or a malformed --worker job. 3 takes
+// missing value); 3 = a report that could not be written. 3 takes
 // precedence over 1 when both apply.
 //
 //===----------------------------------------------------------------------===//
@@ -120,14 +102,11 @@
 #include "machine/MachineModel.h"
 #include "pipeline/Batch.h"
 #include "pipeline/Cache.h"
-#include "pipeline/Journal.h"
 #include "pipeline/Report.h"
 #include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
-#include "pipeline/Worker.h"
 #include "support/FaultInjection.h"
 #include "support/Io.h"
-#include "support/Subprocess.h"
 #include "support/Telemetry.h"
 
 #include <charconv>
@@ -203,12 +182,6 @@ int main(int argc, char **argv) {
   // diagnostic and exit 3), never as silent SIGPIPE death (141).
   io::ignoreSigpipe();
 
-  // The self-exec worker mode comes first: the batch driver spawns
-  // `pirac --worker` with one job document on stdin, and nothing else
-  // on the command line applies.
-  if (argc >= 2 && std::string(argv[1]) == "--worker")
-    return runWorkerMode(std::cin, std::cout, std::cerr);
-
   // (name, source) per input; empty after flag parsing means the sample.
   std::vector<std::pair<std::string, std::string>> Inputs;
   StrategyKind Strategy = StrategyKind::Combined;
@@ -228,13 +201,6 @@ int main(int argc, char **argv) {
   bool CacheFlagSeen = false;
   std::string CacheDir;
   uint64_t CacheMaxMB = 0;
-  bool Isolate = false;
-  uint64_t Retries = 0;
-  uint64_t RetryBackoffMs = 10;
-  uint64_t ChildTimeoutMs = 0;
-  uint64_t ChildMemMB = 0;
-  std::string JournalPath;
-  bool Resume = false;
   OracleOptions OracleOpts;
   bool Tournament = false;
   uint64_t CorpusCount = 200;
@@ -357,36 +323,6 @@ int main(int argc, char **argv) {
       std::string V;
       if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, CacheMaxMB))
         return 2;
-    } else if (Arg == "--isolate") {
-      Isolate = true;
-      BatchMode = true;
-    } else if (Arg == "--retries") {
-      std::string V;
-      if (!NextValue(V) ||
-          !parseCliCount(Arg, V, 0, std::numeric_limits<unsigned>::max(),
-                         Retries))
-        return 2;
-    } else if (Arg == "--retry-backoff-ms") {
-      std::string V;
-      // Capped so the deterministic exponential backoff cannot be armed
-      // into an effectively infinite sleep.
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 60000, RetryBackoffMs))
-        return 2;
-    } else if (Arg == "--child-timeout-ms") {
-      std::string V;
-      if (!NextValue(V) ||
-          !parseCliCount(Arg, V, 0, UINT64_MAX, ChildTimeoutMs))
-        return 2;
-    } else if (Arg == "--child-mem-mb") {
-      std::string V;
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, UINT64_MAX, ChildMemMB))
-        return 2;
-    } else if (Arg == "--journal") {
-      if (!NextValue(JournalPath))
-        return 2;
-      BatchMode = true;
-    } else if (Arg == "--resume") {
-      Resume = true;
     } else if (Arg == "--oracle-max-insts") {
       std::string V;
       uint64_t N = 0;
@@ -485,10 +421,6 @@ int main(int argc, char **argv) {
     CacheModeFlag = CacheMode::On;
   if (CacheMaxMB != 0 && CacheDir.empty()) {
     std::cerr << "pirac: --cache-max-mb requires --cache-dir DIR\n";
-    return 2;
-  }
-  if (Resume && JournalPath.empty()) {
-    std::cerr << "pirac: --resume requires --journal FILE\n";
     return 2;
   }
   // At most one machine-readable sink may own stdout; the others must go
@@ -604,33 +536,6 @@ int main(int argc, char **argv) {
     Opts.Degrade = !NoDegrade;
     Opts.Progress = Progress;
     Opts.Cache = Cache ? &*Cache : nullptr;
-    if (Isolate) {
-      Opts.Isolate = true;
-      // Self-exec: the worker is this very binary. /proc/self/exe is
-      // the robust answer (argv[0] may be a bare name found via PATH);
-      // argv[0] is the fallback on filesystems without /proc.
-      Opts.WorkerExe = currentExecutablePath();
-      if (Opts.WorkerExe.empty())
-        Opts.WorkerExe = argv[0];
-      Opts.MaxRetries = static_cast<unsigned>(Retries);
-      Opts.RetryBackoffMs = static_cast<unsigned>(RetryBackoffMs);
-      Opts.ChildTimeoutMs = ChildTimeoutMs;
-      Opts.ChildMemLimitMB = ChildMemMB;
-    }
-
-    // The journal binds to the exact batch configuration via a digest;
-    // opening it after every option is final keeps resume honest.
-    BatchJournal Journal;
-    if (!JournalPath.empty()) {
-      Status JS = Journal.open(JournalPath,
-                               computeJournalDigest(Batch, Machine, Opts),
-                               Batch.size(), Resume);
-      if (!JS.ok()) {
-        std::cerr << "pirac: " << JS.toString() << '\n';
-        return 3;
-      }
-      Opts.Journal = &Journal;
-    }
 
     BatchResult BR = compileBatch(Batch, Machine, Opts);
     Hum << "; batch of " << Batch.size() << " function(s), "
@@ -662,16 +567,6 @@ int main(int argc, char **argv) {
       Hum << ", " << BR.Degraded << " degraded";
     Hum << ", static cycles " << BR.TotalStaticCycles
         << ", dynamic cycles " << BR.TotalDynCycles << '\n';
-    if (Isolate)
-      Hum << "; isolation: " << BR.Isolated << " sandboxed, "
-          << BR.Crashes << " crash(es), " << BR.Timeouts
-          << " timeout(s), " << BR.Retries << " retry(ies)\n";
-    if (Opts.Journal != nullptr) {
-      Hum << "; journal: " << BR.Resumed << " resumed";
-      if (Journal.appendFailures() != 0)
-        Hum << ", " << Journal.appendFailures() << " APPEND FAILURE(S)";
-      Hum << '\n';
-    }
     if (Cache) {
       CompilationCache::Stats CS = Cache->stats();
       Hum << "; cache (" << cacheModeName(Cache->mode()) << "): "
@@ -711,10 +606,9 @@ int main(int argc, char **argv) {
     }
     if (TimePasses)
       telemetry::printTimerReport(std::cerr);
-    // Exit taxonomy (see the usage comment): internal errors — reports
-    // that could not be written, journal records that could not land —
-    // take precedence over compile failures.
-    if (!ReportsOk || Journal.appendFailures() != 0)
+    // Exit taxonomy (see the usage comment): a report that could not be
+    // written takes precedence over compile failures.
+    if (!ReportsOk)
       return 3;
     return (BR.Succeeded == BR.Results.size() && InputFailures.empty() &&
             (!Cache || Cache->stats().VerifyMismatches == 0))

@@ -205,13 +205,13 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
   buildCsr();
 }
 
-BitMatrix DependenceGraph::reachability(ThreadPool *Pool) const {
+BitMatrix DependenceGraph::reachability() const {
   std::vector<std::pair<unsigned, unsigned>> EdgePairs;
   EdgePairs.reserve(Edges.size());
   for (const DepEdge &E : Edges)
     EdgePairs.push_back({E.From, E.To});
   dagreduce::ReduceStats RS;
-  BitMatrix M = dagreduce::reducedClosure(NumNodes, EdgePairs, Pool, &RS);
+  BitMatrix M = dagreduce::reducedClosure(NumNodes, EdgePairs, &RS);
   NumClosureComponents += RS.Components;
   NumClosureChainsCollapsed += RS.Chains;
   NumClosureEdgesStripped += RS.StrippedEdges;

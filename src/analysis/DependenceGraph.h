@@ -38,7 +38,6 @@ namespace pira {
 class BasicBlock;
 class Function;
 class MachineModel;
-class ThreadPool;
 
 /// Classifies why one instruction must precede another.
 enum class DepKind : unsigned {
@@ -105,9 +104,8 @@ public:
   ///
   /// Computed through the pre-closure DAG reduction (component split,
   /// chain collapse, transitive-edge strip); bit-identical to closing the
-  /// adjacency matrix directly. \p Pool, when non-null, closes independent
-  /// components in parallel with no effect on the result.
-  BitMatrix reachability(ThreadPool *Pool = nullptr) const;
+  /// adjacency matrix directly.
+  BitMatrix reachability() const;
 
   /// Returns true when a nonempty directed path \p From -> \p To exists.
   /// Convenience over reachability() for one-off queries.

@@ -23,24 +23,21 @@ PIRA_STAT(NumFdgMachineConstraintPairs,
 
 FalseDependenceGraph::FalseDependenceGraph(const Function &F,
                                            unsigned BlockIdx,
-                                           const MachineModel &Machine,
-                                           ThreadPool *ClosurePool) {
+                                           const MachineModel &Machine) {
   DependenceGraph Gs(F, BlockIdx, Machine);
-  build(F, BlockIdx, Gs, Machine, ClosurePool);
+  build(F, BlockIdx, Gs, Machine);
 }
 
 FalseDependenceGraph::FalseDependenceGraph(const Function &F,
                                            unsigned BlockIdx,
                                            const DependenceGraph &Gs,
-                                           const MachineModel &Machine,
-                                           ThreadPool *ClosurePool) {
-  build(F, BlockIdx, Gs, Machine, ClosurePool);
+                                           const MachineModel &Machine) {
+  build(F, BlockIdx, Gs, Machine);
 }
 
 void FalseDependenceGraph::build(const Function &F, unsigned BlockIdx,
                                  const DependenceGraph &Gs,
-                                 const MachineModel &Machine,
-                                 ThreadPool *ClosurePool) {
+                                 const MachineModel &Machine) {
   PIRA_TIME_SCOPE("pig/fdg");
   const BasicBlock &BB = F.block(BlockIdx);
   unsigned N = Gs.size();
@@ -52,12 +49,11 @@ void FalseDependenceGraph::build(const Function &F, unsigned BlockIdx,
   // per step.
 
   // Et part 1: the transitive closure of Gs, directions removed. The
-  // closure runs through the pre-closure DAG reduction; independent
-  // components close in parallel when a pool is attached.
+  // closure runs through the pre-closure DAG reduction.
   BitMatrix Et;
   {
     PIRA_TIME_SCOPE("pig/closure");
-    Et = Gs.reachability(ClosurePool);
+    Et = Gs.reachability();
     Et.symmetrize();
   }
 

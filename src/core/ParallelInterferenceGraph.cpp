@@ -215,8 +215,7 @@ private:
 
 ParallelInterferenceGraph::ParallelInterferenceGraph(
     const Function &F, const Webs &W, const InterferenceGraph &IG,
-    const MachineModel &Machine, bool UseRegions,
-    ThreadPool *ClosurePool) {
+    const MachineModel &Machine, bool UseRegions) {
   PIRA_TIME_SCOPE("pig/build");
   assert(!F.isAllocated() && "the PIG is built over symbolic code");
   unsigned NumWebs = W.numWebs();
@@ -230,7 +229,7 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
   // Block-level Ef pairs between defining instructions, mapped to webs.
   for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
     DependenceGraph Gs(F, B, Machine);
-    FalseDependenceGraph FDG(F, B, Gs, Machine, ClosurePool);
+    FalseDependenceGraph FDG(F, B, Gs, Machine);
     std::vector<unsigned> Height = computeHeights(Gs);
     const BasicBlock &BB = F.block(B);
     for (const auto &[U, V] : FDG.parallelPairs().edgeList()) {

@@ -34,7 +34,6 @@ namespace pira {
 class Function;
 class InterferenceGraph;
 class MachineModel;
-class ThreadPool;
 class Webs;
 
 /// The PIG over webs, keeping the two edge families separate so the
@@ -44,13 +43,10 @@ public:
   /// Builds the PIG of \p F. \p IG must be the interference graph of the
   /// same function/web partition. When \p UseRegions is true, parallel
   /// edges are additionally collected across plausible block pairs.
-  /// \p ClosurePool, when non-null, parallelizes the per-block closure;
-  /// the graph is byte-identical either way.
   ParallelInterferenceGraph(const Function &F, const Webs &W,
                             const InterferenceGraph &IG,
                             const MachineModel &Machine,
-                            bool UseRegions = false,
-                            ThreadPool *ClosurePool = nullptr);
+                            bool UseRegions = false);
 
   /// Returns the number of vertices (webs).
   unsigned numWebs() const { return Interference.numVertices(); }

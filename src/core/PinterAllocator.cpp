@@ -221,8 +221,7 @@ PinterStats pira::pinterAllocate(Function &F, unsigned NumRegs,
     PIRA_TIME_SCOPE("alloc/round");
     Webs W(F);
     InterferenceGraph IG(F, W);
-    ParallelInterferenceGraph PIG(F, W, IG, Machine, Opts.UseRegions,
-                                  Opts.ClosurePool);
+    ParallelInterferenceGraph PIG(F, W, IG, Machine, Opts.UseRegions);
     std::vector<double> Costs = computeSpillCosts(F, W);
     for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
       if (NoSpillRegs.count(W.webRegister(Web)))

@@ -40,7 +40,6 @@ namespace pira {
 class Function;
 class MachineModel;
 class ParallelInterferenceGraph;
-class ThreadPool;
 
 /// Tuning knobs for the Section 4 procedure.
 struct PinterOptions {
@@ -57,12 +56,6 @@ struct PinterOptions {
   bool UseRegions = false;
   /// Cap on color/spill/repeat rounds.
   unsigned MaxRounds = 32;
-  /// When non-null, independent components of each block's schedule
-  /// graph close in parallel on this pool during PIG construction.
-  /// Results are byte-identical either way (components write disjoint
-  /// closure rows); the batch driver attaches a pool for single-function
-  /// batches that would otherwise leave its workers idle. Non-owning.
-  ThreadPool *ClosurePool = nullptr;
 };
 
 /// Statistics of a combined allocation run.

@@ -11,6 +11,7 @@
 #include "support/Rng.h"
 
 #include <cassert>
+#include <cstdint>
 
 using namespace pira;
 
@@ -68,6 +69,11 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     return State.Regs[I.uses()[Idx]];
   };
   auto SetDef = [&](int64_t V) { State.Regs[I.def()] = V; };
+  // Arithmetic wraps as two's complement: it is done in uint64_t, where
+  // overflow is defined, and converted back (a modular conversion since
+  // C++20). Signed overflow would be undefined behaviour.
+  auto W = [&](unsigned Idx) { return static_cast<uint64_t>(U(Idx)); };
+  auto SetWrapped = [&](uint64_t V) { SetDef(static_cast<int64_t>(V)); };
 
   switch (I.opcode()) {
   case Opcode::LoadImm:
@@ -78,23 +84,26 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     break;
   case Opcode::Add:
   case Opcode::FAdd:
-    SetDef(U(0) + U(1));
+    SetWrapped(W(0) + W(1));
     break;
   case Opcode::Sub:
   case Opcode::FSub:
-    SetDef(U(0) - U(1));
+    SetWrapped(W(0) - W(1));
     break;
   case Opcode::Mul:
   case Opcode::FMul:
-    SetDef(U(0) * U(1));
+    SetWrapped(W(0) * W(1));
     break;
   case Opcode::Div:
   case Opcode::FDiv:
-    SetDef(U(1) == 0 ? 0 : U(0) / U(1));
+    // The two quotients int64_t cannot represent are defined as 0:
+    // division by zero, and INT64_MIN / -1 (which would be 2^63).
+    SetDef(U(1) == 0 || (U(0) == INT64_MIN && U(1) == -1) ? 0
+                                                          : U(0) / U(1));
     break;
   case Opcode::Neg:
   case Opcode::FNeg:
-    SetDef(-U(0));
+    SetWrapped(0 - W(0));
     break;
   case Opcode::And:
     SetDef(U(0) & U(1));
@@ -106,7 +115,7 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     SetDef(U(0) ^ U(1));
     break;
   case Opcode::Shl:
-    SetDef(U(0) << (U(1) & 63));
+    SetWrapped(W(0) << (U(1) & 63));
     break;
   case Opcode::Shr:
     SetDef(U(0) >> (U(1) & 63));
@@ -121,7 +130,7 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     SetDef(U(0) <= U(1) ? 1 : 0);
     break;
   case Opcode::FMA:
-    SetDef(U(0) * U(1) + U(2));
+    SetWrapped(W(0) * W(1) + W(2));
     break;
   case Opcode::Load: {
     int64_t *Slot = addressSlot(I, State);

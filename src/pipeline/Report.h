@@ -12,10 +12,10 @@
 /// --stats-out` and the bench binaries emit this format so
 /// the perf trajectory of the repo is diffable across PRs.
 ///
-/// Schema (version 6):
+/// Schema (version 7):
 ///
 ///   {
-///     "schema": "pira.stats", "version": 6,
+///     "schema": "pira.stats", "version": 7,
 ///     "provenance": {"tool", "tool_version", "git_sha", "compiler",
 ///                    "build_type", "ndebug"},
 ///     "strategy": "combined",            // when known
@@ -42,15 +42,12 @@
 /// aggregates; v3 added the batch "cache" block; v4 added the
 /// per-function "isolation" record (sandboxed-child spawns, retries,
 /// crashes, timeouts, last exit/signal) and the batch "isolated"/
-/// "crashes"/"timeouts"/"retries" tallies for --isolate runs. The
-/// journal-resume count is deliberately a counter, not a batch field,
-/// so resumed reports stay byte-identical to uninterrupted ones.
-/// v5 added the "provenance" block and the "histograms" section, and —
-/// for --isolate runs — child counters/histograms/trace events merged
-/// into the parent registries via the result-doc v2 telemetry block
-/// (pipeline/Worker.h).
+/// "crashes"/"timeouts"/"retries" tallies for out-of-process runs.
+/// v5 added the "provenance" block and the "histograms" section.
 /// v6 removed "remote_hits" from the batch "cache" block, along with
 /// the remote cache tier that was its only source.
+/// v7 removed the v4 "isolation" record and the four batch tallies,
+/// along with out-of-process compilation, their only source.
 ///
 /// Byte-identity contract: everything above the "histograms" key is
 /// deterministic for deterministic inputs (counters and histogram
@@ -76,7 +73,7 @@ class MachineModel;
 
 /// Schema constants; bump the version whenever a field changes meaning.
 inline constexpr const char *StatsSchemaName = "pira.stats";
-inline constexpr int StatsSchemaVersion = 6;
+inline constexpr int StatsSchemaVersion = 7;
 
 /// The tool version stamped into provenance blocks and --version output.
 inline constexpr const char *PiraVersionString = "0.6.0";

@@ -1,4 +1,4 @@
-//===- support/Io.h - Retrying descriptor I/O helpers -----------*- C++ -*-===//
+//===- support/Io.h - Process-wide I/O policy -------------------*- C++ -*-===//
 //
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
@@ -6,35 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one place short reads, short writes, and EINTR are handled. Raw
-/// ::read/::write may transfer fewer bytes than asked (pipes, sockets,
-/// signal interruption), and sprinkling ad-hoc retry loops over every
-/// caller is how torn journal records happen. pipeline/Journal and
-/// support/Subprocess both route their descriptor I/O through these
-/// helpers so the retry discipline cannot drift between them.
-///
-/// All helpers expect blocking descriptors.
+/// The SIGPIPE policy of pirac, whose reports may go to a stdout pipe.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_SUPPORT_IO_H
 #define PIRA_SUPPORT_IO_H
 
-#include <cstddef>
-#include <sys/types.h>
-
 namespace pira {
 namespace io {
-
-/// Reads exactly \p Size bytes into \p Buf, retrying EINTR and short
-/// reads. Returns the number of bytes read: \p Size on success, less on
-/// end-of-file, and -1 on a real error (errno preserved).
-ssize_t readFull(int Fd, void *Buf, size_t Size);
-
-/// Writes all \p Size bytes of \p Buf, retrying EINTR and short writes.
-/// Returns true when everything landed; false on a real error (errno
-/// preserved — EPIPE means the reader is gone).
-bool writeFull(int Fd, const void *Buf, size_t Size);
 
 /// Ignores SIGPIPE process-wide, once. A pipe reader that goes away
 /// must surface as an EPIPE from the write that noticed — a structured,

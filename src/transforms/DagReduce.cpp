@@ -35,7 +35,6 @@
 #include "transforms/DagReduce.h"
 
 #include "support/Arena.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -55,8 +54,8 @@ unsigned findRoot(std::vector<unsigned> &Parent, unsigned X) {
   return X;
 }
 
-/// Everything one component task needs, carved out of shared read-only
-/// arrays before the (possibly parallel) close phase.
+/// Everything one component's closure needs, carved out of shared
+/// read-only arrays before the close phase.
 struct ComponentWork {
   const unsigned *Members;                     ///< Global ids, ascending.
   unsigned NumMembers;
@@ -64,27 +63,19 @@ struct ComponentWork {
   unsigned NumEdges;
 };
 
-/// Per-component slice of the reduction stats, merged serially afterwards
-/// so the parallel path stays deterministic and unsynchronized.
-struct ComponentStats {
-  unsigned Chains = 0;
-  unsigned SuperNodes = 0;
-  unsigned StrippedEdges = 0;
-};
-
 /// Closes one weakly connected component into the disjoint row set
 /// {Out.row(g) : g in Members}. LocalIdx maps global node id -> index in
-/// the component's member list (precomputed, read-only here).
-ComponentStats closeComponent(const ComponentWork &W,
-                              const std::vector<unsigned> &LocalIdx,
-                              unsigned N, BitMatrix &Out) {
-  ComponentStats CS;
+/// the component's member list (precomputed, read-only here). Adds the
+/// component's chains, super-nodes and stripped edges to \p CS.
+void closeComponent(const ComponentWork &W,
+                    const std::vector<unsigned> &LocalIdx, unsigned N,
+                    BitMatrix &Out, ReduceStats &CS) {
   unsigned M = W.NumMembers;
   if (M <= 1) {
     // A singleton reaches nothing (edges to a peeled sink are handled by
     // the caller).
-    CS.SuperNodes = M;
-    return CS;
+    CS.SuperNodes += M;
+    return;
   }
 
   // All scratch shares one arena: freed together, allocated contiguously.
@@ -149,7 +140,7 @@ ComponentStats closeComponent(const ComponentWork &W,
       ++CS.Chains;
   }
   assert(NumSupers >= 1 && "component with edges has at least one super");
-  CS.SuperNodes = NumSupers;
+  CS.SuperNodes += NumSupers;
 
   // Contracted edge set with the redundant-transitive-edge strip. S holds
   // super adjacency, T its transpose; edge (a, b) is redundant iff some c
@@ -213,14 +204,13 @@ ComponentStats closeComponent(const ComponentWork &W,
       Out.row(ChainGlobals[I]) = Acc;
     }
   }
-  return CS;
 }
 
 } // namespace
 
 BitMatrix dagreduce::reducedClosure(
     unsigned N, const std::vector<std::pair<unsigned, unsigned>> &EdgesIn,
-    ThreadPool *Pool, ReduceStats *Stats) {
+    ReduceStats *Stats) {
   BitMatrix Out(N);
   ReduceStats Local;
   Local.Nodes = N;
@@ -309,23 +299,11 @@ BitMatrix dagreduce::reducedClosure(
   }
 
   // Steps 3-5 run per component; every component writes only its own
-  // members' rows, so the parallel path produces the identical matrix.
-  std::vector<ComponentStats> PerComp(NumComps);
-  auto RunOne = [&](unsigned C) {
+  // members' rows.
+  for (unsigned C = 0; C != NumComps; ++C) {
     ComponentWork W{Members.data() + MemberOff[C], MemberCount[C],
                     CompEdges.data() + EdgeOff[C], EdgeOff[C + 1] - EdgeOff[C]};
-    PerComp[C] = closeComponent(W, LocalIdx, N, Out);
-  };
-  bool RunParallel = Pool != nullptr && NumComps > 1 && Limit >= 64;
-  if (RunParallel)
-    Pool->parallelFor(NumComps, RunOne);
-  else
-    for (unsigned C = 0; C != NumComps; ++C)
-      RunOne(C);
-  for (const ComponentStats &CS : PerComp) {
-    Local.Chains += CS.Chains;
-    Local.SuperNodes += CS.SuperNodes;
-    Local.StrippedEdges += CS.StrippedEdges;
+    closeComponent(W, LocalIdx, N, Out, Local);
   }
 
   // Peeled sink column: every other node reaches the terminator directly.

@@ -16,7 +16,7 @@
 ///      block terminator a successor of every node; its closure column is
 ///      known without computing anything).
 ///   2. Split the remainder into weakly connected components; each closes
-///      independently (optionally in parallel on a thread pool).
+///      independently.
 ///   3. Collapse single-entry/single-exit chains into super-nodes.
 ///   4. Strip redundant transitive edges from the contracted DAG.
 ///   5. Close the contracted DAG by one reverse-topological sweep of
@@ -28,7 +28,7 @@
 /// by construction. Under that precondition the result is bit-identical to
 /// BitMatrix::transitiveClosure on the same edge set — reachability is
 /// unique — so callers keep byte-identical reports whether or not the
-/// reduction runs, and regardless of the thread pool.
+/// reduction runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +41,6 @@
 #include <vector>
 
 namespace pira {
-
-class ThreadPool;
-
 namespace dagreduce {
 
 /// What the reduction found; summed into telemetry counters by callers.
@@ -61,14 +58,9 @@ struct ReduceStats {
 /// vertices and edge list \p Edges (duplicates allowed; every edge must
 /// satisfy From < To < N). Equivalent to building the adjacency BitMatrix
 /// and running transitiveClosure(), but via the reduction pipeline above.
-///
-/// \p Pool, when non-null, closes independent components in parallel;
-/// every component writes a disjoint set of result rows, so the output is
-/// identical to the serial path. \p Stats, when non-null, receives what
-/// the reduction found.
+/// \p Stats, when non-null, receives what the reduction found.
 BitMatrix reducedClosure(unsigned N,
                          const std::vector<std::pair<unsigned, unsigned>> &Edges,
-                         ThreadPool *Pool = nullptr,
                          ReduceStats *Stats = nullptr);
 
 } // namespace dagreduce

@@ -8,8 +8,8 @@
 // irrelevant ones), entry encode/decode round trips, both tiers, the
 // corrupt-entry-is-a-miss rule, Verify-mode tamper detection, the
 // never-cache-degraded rule, the batch report's "cache" block, disk-tier
-// trimming under --cache-max-mb, and warm-run byte identity across
-// worker counts.
+// trimming under --cache-max-mb, warm-run byte identity across worker
+// counts, and the rerun of an interrupted batch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -634,7 +634,7 @@ TEST(CacheTrimTest, AFreshInstanceMayEvictAPredecessorsEntries) {
 }
 
 //===----------------------------------------------------------------------===//
-// Warm-run determinism across worker counts
+// Warm-run determinism across worker counts, and restarts
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -685,5 +685,47 @@ TEST(CompilationCacheTest, WarmRunsAreByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(S.Misses, 0u) << "jobs=" << Jobs;
   }
   telemetry::reset();
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CompilationCacheTest,
+     RerunAfterAnInterruptedBatchRecompilesOnlyTheMissingTail) {
+  // The disk cache is the restart point of an interrupted batch: the
+  // functions that finished before the interruption are on disk, so a
+  // rerun over the same directory replays them and compiles the rest,
+  // and its report matches an uninterrupted run's.
+  std::vector<BatchItem> Batch;
+  for (unsigned I = 0; I != 10; ++I)
+    Batch.push_back({"r" + std::to_string(I) + ".pir",
+                     smallFunction("r" + std::to_string(I))});
+  constexpr unsigned Prefix = 4;
+  std::vector<BatchItem> Finished(Batch.begin(), Batch.begin() + Prefix);
+  MachineModel M = MachineModel::rs6000();
+
+  std::filesystem::path ColdDir = scratchDir("rerun_cold");
+  CompilationCache Cold(CacheMode::On, ColdDir.string());
+  BatchOptions Opts;
+  Opts.Jobs = 1;
+  Opts.Cache = &Cold;
+  std::string Uninterrupted = reportFingerprint(Batch, M, Opts);
+
+  // The interrupted run got through the first Prefix functions.
+  std::filesystem::path Dir = scratchDir("rerun");
+  {
+    CompilationCache Interrupted(CacheMode::On, Dir.string());
+    Opts.Cache = &Interrupted;
+    ASSERT_EQ(compileBatch(Finished, M, Opts).Succeeded, Prefix);
+  }
+
+  CompilationCache Rerun(CacheMode::On, Dir.string());
+  Opts.Jobs = 2;
+  Opts.Cache = &Rerun;
+  EXPECT_EQ(reportFingerprint(Batch, M, Opts), Uninterrupted);
+  CompilationCache::Stats S = Rerun.stats();
+  EXPECT_EQ(S.DiskHits, Prefix);
+  EXPECT_EQ(S.MemoryHits, 0u);
+  EXPECT_EQ(S.Misses, Batch.size() - Prefix);
+  telemetry::reset();
+  std::filesystem::remove_all(ColdDir);
   std::filesystem::remove_all(Dir);
 }

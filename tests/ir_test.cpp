@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace pira;
 
 //===----------------------------------------------------------------------===//
@@ -341,6 +343,59 @@ TEST(InterpreterTest, DivisionByZeroYieldsZero) {
   B.ret(B.binary(Opcode::Div, A, Z));
   ExecResult R = interpret(F, makeInitialState(F, 0));
   EXPECT_EQ(R.ReturnValue, 0);
+}
+
+/// Interprets `ret Op(A, B)` (or `ret Op(A)` when \p Op is unary) over
+/// constant operands and returns the value.
+static int64_t evalOnConstants(Opcode Op, int64_t A, int64_t B = 0) {
+  Function F("t");
+  IRBuilder Bld(F);
+  Bld.startBlock("e");
+  Reg RA = Bld.loadImm(A);
+  Reg RB = Bld.loadImm(B);
+  bool Unary = Op == Opcode::Neg || Op == Opcode::FNeg;
+  Bld.ret(Unary ? Bld.unary(Op, RA) : Bld.binary(Op, RA, RB));
+  ExecResult R = interpret(F, makeInitialState(F, 0));
+  EXPECT_TRUE(R.Completed);
+  return R.ReturnValue;
+}
+
+TEST(InterpreterTest, ArithmeticWrapsAsTwosComplement) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  for (Opcode Add : {Opcode::Add, Opcode::FAdd}) {
+    EXPECT_EQ(evalOnConstants(Add, Max, 1), Min);
+    EXPECT_EQ(evalOnConstants(Add, Min, -1), Max);
+  }
+  for (Opcode Sub : {Opcode::Sub, Opcode::FSub}) {
+    EXPECT_EQ(evalOnConstants(Sub, Min, 1), Max);
+    EXPECT_EQ(evalOnConstants(Sub, Max, -1), Min);
+  }
+  for (Opcode Mul : {Opcode::Mul, Opcode::FMul}) {
+    EXPECT_EQ(evalOnConstants(Mul, Max, 2), -2);
+    EXPECT_EQ(evalOnConstants(Mul, Min, -1), Min);
+    EXPECT_EQ(evalOnConstants(Mul, int64_t{1} << 32, int64_t{1} << 32), 0);
+  }
+  for (Opcode Neg : {Opcode::Neg, Opcode::FNeg}) {
+    EXPECT_EQ(evalOnConstants(Neg, Min), Min);
+    EXPECT_EQ(evalOnConstants(Neg, Max), Min + 1);
+  }
+  // The one quotient int64_t cannot hold is defined as 0, like x / 0.
+  for (Opcode Div : {Opcode::Div, Opcode::FDiv}) {
+    EXPECT_EQ(evalOnConstants(Div, Min, -1), 0);
+    EXPECT_EQ(evalOnConstants(Div, Min, 1), Min);
+    EXPECT_EQ(evalOnConstants(Div, Max, -1), -Max);
+  }
+  EXPECT_EQ(evalOnConstants(Opcode::Shl, -1, 63), Min);
+  EXPECT_EQ(evalOnConstants(Opcode::Shl, Max, 1), -2);
+
+  // FMA wraps like its multiply and add parts: Max * 2 + 1 == -1.
+  Function F("fma");
+  IRBuilder Bld(F);
+  Bld.startBlock("e");
+  Reg M = Bld.loadImm(Max);
+  Bld.ret(Bld.fma(M, Bld.loadImm(2), Bld.loadImm(1)));
+  EXPECT_EQ(interpret(F, makeInitialState(F, 0)).ReturnValue, -1);
 }
 
 TEST(InterpreterTest, ShiftsAndCompares) {

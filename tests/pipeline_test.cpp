@@ -20,10 +20,9 @@ TEST(PipelineTest, ProgressLineBasicShape) {
   S.Total = 10;
   S.Failed = 1;
   S.Degraded = 2;
-  S.Crashed = 0;
   S.ElapsedS = 1.5;
   EXPECT_EQ(formatProgressLine(S),
-            "pirac: 3/10 done, 1 failed, 2 degraded, 0 crashed"
+            "pirac: 3/10 done, 1 failed, 2 degraded"
             " | 2.0/s | eta 3.5s");
 
   // Cache segment appears once a lookup happened.
@@ -31,7 +30,7 @@ TEST(PipelineTest, ProgressLineBasicShape) {
   S.CacheHits = 1;
   S.CacheLookups = 4;
   EXPECT_EQ(formatProgressLine(S),
-            "pirac: 3/10 done, 1 failed, 2 degraded, 0 crashed"
+            "pirac: 3/10 done, 1 failed, 2 degraded"
             " | cache 25.0% | 2.0/s | eta 3.5s");
 
   // A finished batch drops the ETA but keeps the rate.
@@ -39,7 +38,7 @@ TEST(PipelineTest, ProgressLineBasicShape) {
   S.Done = 10;
   S.Failed = 1;
   EXPECT_EQ(formatProgressLine(S),
-            "pirac: 10/10 done, 1 failed, 2 degraded, 0 crashed"
+            "pirac: 10/10 done, 1 failed, 2 degraded"
             " | 6.7/s");
 }
 
@@ -54,7 +53,7 @@ TEST(PipelineTest, ProgressLineNeverShowsInfOrNanAtZeroElapsed) {
     S.Total = 10;
     S.ElapsedS = Elapsed;
     std::string Line = formatProgressLine(S);
-    EXPECT_EQ(Line, "pirac: 2/10 done, 0 failed, 0 degraded, 0 crashed")
+    EXPECT_EQ(Line, "pirac: 2/10 done, 0 failed, 0 degraded")
         << Line;
     EXPECT_EQ(Line.find("inf"), std::string::npos) << Line;
     EXPECT_EQ(Line.find("nan"), std::string::npos) << Line;
@@ -65,7 +64,7 @@ TEST(PipelineTest, ProgressLineNeverShowsInfOrNanAtZeroElapsed) {
   S.Total = 10;
   S.ElapsedS = 5.0;
   EXPECT_EQ(formatProgressLine(S),
-            "pirac: 0/10 done, 0 failed, 0 degraded, 0 crashed");
+            "pirac: 0/10 done, 0 failed, 0 degraded");
 
   // A cache that has seen no lookups contributes no segment (avoiding
   // its own 0/0).

@@ -162,7 +162,7 @@ TEST_F(FaultTest, SpecParsingAcceptsKnownSitesAndRejectsJunk) {
 
 TEST_F(FaultTest, EverySiteInTheTableIsConfigurable) {
   const std::vector<const char *> &Sites = faultinject::knownSites();
-  EXPECT_EQ(Sites.size(), 14u);
+  EXPECT_EQ(Sites.size(), 10u);
   std::string Error;
   for (const char *Site : Sites)
     EXPECT_TRUE(faultinject::configure(std::string(Site) + ":2", Error))

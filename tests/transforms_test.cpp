@@ -19,7 +19,6 @@
 #include "transforms/Normalize.h"
 #include "transforms/LoopUnroller.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 #include "workloads/Kernels.h"
 #include "workloads/RandomProgram.h"
 
@@ -379,9 +378,9 @@ BitMatrix oracleClosure(unsigned N,
 
 void expectReducedMatchesOracle(
     unsigned N, const std::vector<std::pair<unsigned, unsigned>> &E,
-    const std::string &What, ThreadPool *Pool = nullptr) {
+    const std::string &What) {
   BitMatrix Want = oracleClosure(N, E);
-  BitMatrix Got = dagreduce::reducedClosure(N, E, Pool);
+  BitMatrix Got = dagreduce::reducedClosure(N, E);
   ASSERT_EQ(Got.size(), Want.size()) << What;
   for (unsigned I = 0; I < N; ++I)
     for (unsigned J = 0; J < N; ++J)
@@ -429,7 +428,6 @@ TEST(DagReduceTest, ReducedClosureMatchesOracleOn200RandomDags) {
   // invisible: bit-for-bit the closure of the input. Edges are drawn
   // with From < To, the DependenceGraph invariant reducedClosure
   // requires.
-  ThreadPool Pool(4);
   Rng R(0xDA6CEDu);
   for (unsigned Case = 0; Case < 200; ++Case) {
     unsigned N = 1 + static_cast<unsigned>(R.nextBelow(512));
@@ -452,9 +450,6 @@ TEST(DagReduceTest, ReducedClosureMatchesOracleOn200RandomDags) {
     std::string What = "case " + std::to_string(Case) + " (N=" +
                        std::to_string(N) + ", |E|=" +
                        std::to_string(E.size()) + ")";
-    // Serial and pooled closures must agree with the oracle (and hence
-    // with each other): parallel component closure is invisible too.
-    expectReducedMatchesOracle(N, E, What + " serial");
-    expectReducedMatchesOracle(N, E, What + " pooled", &Pool);
+    expectReducedMatchesOracle(N, E, What);
   }
 }
