@@ -10,12 +10,12 @@
 // binary runs out of the box.
 //
 // With several input files, or with --jobs, pirac switches to the batch
-// driver: every function is compiled through compileBatch() over the
-// work-stealing pool (worker count from --jobs, else PIRA_JOBS, else the
-// hardware), a per-function summary table is printed in input order, and
-// --stats-out emits the batch-shaped "pira.stats" report. Batch results
-// and reports are byte-identical for any --jobs value; only the "timers"
-// section varies (see DESIGN.md).
+// driver: every function is compiled through compileBatch() on
+// min(N, functions) threads, where N comes from --jobs, else PIRA_JOBS,
+// else the hardware; a per-function summary table is printed in input
+// order, and --stats-out emits the batch-shaped "pira.stats" report.
+// Batch results and reports are byte-identical for any --jobs value;
+// only the "timers" section varies (see DESIGN.md).
 //
 // The driver is fault-isolated end to end: an unreadable, unparsable, or
 // unverifiable input gets a per-file diagnostic and is skipped — never a
@@ -538,6 +538,7 @@ int main(int argc, char **argv) {
     Opts.Cache = Cache ? &*Cache : nullptr;
 
     BatchResult BR = compileBatch(Batch, Machine, Opts);
+    // JobsUsed counts the threads that actually ran, min(--jobs, items).
     Hum << "; batch of " << Batch.size() << " function(s), "
         << strategyName(Strategy) << " for " << Machine.name() << " ("
         << Machine.numPhysRegs() << " regs), " << BR.JobsUsed

@@ -16,8 +16,8 @@
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
 #include "sched/PreScheduler.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/UndirectedGraph.h"
 
 #include <cassert>

@@ -11,8 +11,8 @@
 #include "pipeline/Cache.h"
 #include "pipeline/Report.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -306,9 +306,9 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
                                const BatchOptions &Opts) {
   // The whole-batch span is recorded by hand at the end rather than as
   // a TimeScope: a live scope on the caller's thread would prefix the
-  // serial path's per-item event paths but not the pool workers', and
-  // the trace contract is that the event set does not depend on the
-  // worker count.
+  // event paths of the items the caller runs but not the other threads',
+  // and the trace contract is that the event set does not depend on the
+  // thread count.
   uint64_t BatchStartNs = telemetry::monotonicNowNs();
   ++NumBatchesCompiled;
   NumBatchItemsCompiled += Batch.size();
@@ -316,9 +316,6 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
   BatchResult R;
   R.Results.resize(Batch.size());
   R.Outcomes.resize(Batch.size());
-
-  unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobCount() : Opts.Jobs;
-  Jobs = std::max(1u, Jobs);
 
   auto Compile = [&](unsigned I) {
     telemetry::HistTimer Latency(CompileFunctionLatency);
@@ -388,16 +385,8 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
     Progress.tick(R.Results[I], R.Outcomes[I]);
   };
 
-  if (Jobs == 1 || Batch.size() <= 1) {
-    // Serial reference path: no pool, same observable results.
-    R.JobsUsed = 1;
-    for (unsigned I = 0, E = static_cast<unsigned>(Batch.size()); I != E; ++I)
-      CompileOneTicked(I);
-  } else {
-    ThreadPool Pool(Jobs);
-    R.JobsUsed = Pool.numWorkers();
-    Pool.parallelFor(static_cast<unsigned>(Batch.size()), CompileOneTicked);
-  }
+  R.JobsUsed = parallelFor(static_cast<unsigned>(Batch.size()), Opts.Jobs,
+                           CompileOneTicked);
   Progress.finish();
 
   if (telemetry::enabled()) {

@@ -7,14 +7,14 @@
 ///
 /// \file
 /// compileBatch(): runs one strategy over a batch of independent
-/// functions, sharded across a work-stealing thread pool (support/
-/// ThreadPool), with a deterministic merge. Per-function compilation is
+/// functions, spread over threads by one parallelFor (support/
+/// Parallel), with a deterministic merge. Per-function compilation is
 /// pure — runStrategy copies its input, the MachineModel is shared
 /// strictly read-only, and telemetry counters are relaxed atomics — so
-/// the only thread-visible ordering is which worker picks which item,
+/// the only thread-visible ordering is which thread picks which item,
 /// and results are written into pre-sized slots indexed by input
 /// position. Consequently every field of BatchResult, and the stats
-/// report built from it, is bit-identical for any worker count; only the
+/// report built from it, is bit-identical for any thread count; only the
 /// telemetry *timers* (wall-clock samples) differ run to run. That is
 /// the determinism contract the parallel-vs-serial property tests pin
 /// down.
@@ -24,10 +24,10 @@
 ///
 ///   1. rejects inputs over the resource budget (instruction / block
 ///      caps) with a structured ResourceExhausted diagnostic,
-///   2. arms the per-task watchdog deadline around each attempt,
+///   2. arms a per-thread watchdog deadline around each attempt,
 ///   3. captures phase exceptions, injected faults, and deadline
 ///      overruns into the function's result instead of letting them
-///      escape to the pool, and
+///      escape to parallelFor, and
 ///   4. walks the degradation ladder — requested strategy, then
 ///      Chaitin (alloc-first), then the spill-everywhere baseline — so
 ///      that every input yields verifier-clean code unless even the
@@ -77,10 +77,11 @@ struct BatchItem {
 
 /// Per-function resource budget; 0 means unlimited. Instruction and
 /// block caps are checked against the input before any phase runs and
-/// are fully deterministic. DeadlineMs arms the cooperative per-task
-/// watchdog (support/ThreadPool) around every ladder rung — overruns
-/// depend on wall clock, so arming it trades batch determinism for
-/// protection against pathological inputs.
+/// are fully deterministic. DeadlineMs arms a cooperative per-thread
+/// deadline (deadline::ScopedDeadline in support/Parallel) around every
+/// ladder rung; phases poll it at loop boundaries. Overruns depend on
+/// wall clock, so arming it trades batch determinism for protection
+/// against pathological inputs.
 struct ResourceBudget {
   uint64_t MaxInstructions = 0; ///< Cap on input instruction count.
   uint64_t MaxBlocks = 0;       ///< Cap on input basic-block count.
@@ -92,9 +93,10 @@ struct BatchOptions {
   StrategyKind Strategy = StrategyKind::Combined;
   PinterOptions Pinter;       ///< Tunes the Combined strategy only.
   OracleOptions Oracle;       ///< Tunes the Oracle strategy only.
-  /// Worker threads; 0 means ThreadPool::defaultJobCount() (PIRA_JOBS or
-  /// the hardware concurrency). 1 compiles inline with no pool at all,
-  /// which doubles as the serial reference for determinism checks.
+  /// Threads, the caller included; 0 means defaultJobCount() (PIRA_JOBS
+  /// or the hardware concurrency). At most one thread per item is used.
+  /// 1 compiles inline on the caller, which doubles as the serial
+  /// reference for determinism checks.
   unsigned Jobs = 0;
   bool Measure = true;        ///< Also simulate + check semantics.
   uint64_t Seed = 42;         ///< Simulation seed (Measure only).
@@ -160,7 +162,9 @@ struct BatchFailure {
 struct BatchResult {
   std::vector<PipelineResult> Results;  ///< Parallel to the input batch.
   std::vector<CompileOutcome> Outcomes; ///< Ladder record per item.
-  unsigned JobsUsed = 0;                ///< Worker threads actually used.
+  /// Threads that actually ran the batch, the caller included:
+  /// min(Jobs, items), and at least 1.
+  unsigned JobsUsed = 0;
   unsigned Succeeded = 0;               ///< Results with Success set.
   unsigned Failed = 0;                  ///< Results with Success clear.
   unsigned Degraded = 0;                ///< Succeeded below the requested rung.

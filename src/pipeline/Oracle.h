@@ -37,9 +37,10 @@
 ///     bitmask the search keeps Pareto-minimal (cycle, ready-times)
 ///     entries and cuts any state pointwise no better than a stored one.
 ///   * The search is budgeted and cooperative: it spends at most
-///     NodeBudget search nodes and polls the batch driver's watchdog
-///     deadline, so a blowup degrades cleanly down the existing ladder
-///     (SearchExhausted is not ladder-fatal) instead of hanging.
+///     NodeBudget search nodes and polls the thread's armed deadline
+///     (deadline::expired()), so a blowup degrades cleanly down the
+///     existing ladder (SearchExhausted is not ladder-fatal) instead of
+///     hanging.
 ///
 //===----------------------------------------------------------------------===//
 

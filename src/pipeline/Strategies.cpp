@@ -18,8 +18,8 @@
 #include "sched/PreScheduler.h"
 #include "sim/SuperscalarSim.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <iterator>
 #include <numeric>

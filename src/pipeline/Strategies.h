@@ -111,7 +111,7 @@ struct PipelineResult {
 /// bounds the allocator). \p Opts tunes the Combined strategy only;
 /// \p OOpts tunes the Oracle strategy only.
 /// May throw faultinject::FaultInjectedError (armed throw-sites) or
-/// deadline::DeadlineExceededError (armed watchdog deadline); the batch
+/// deadline::DeadlineExceededError (an armed ScopedDeadline); the batch
 /// driver's guard turns both into per-function diagnostics.
 PipelineResult runStrategy(StrategyKind Kind, const Function &Input,
                            const MachineModel &Machine,

@@ -30,7 +30,7 @@
 ///     0 on every corpus — the differential tests and the CI smoke job
 ///     assert exactly that.
 ///
-/// Determinism: runs fan out on the thread pool into pre-sized slots
+/// Determinism: runs fan out over parallelFor into pre-sized slots
 /// and the report carries no clocks or counters, so it is byte-identical
 /// across --jobs widths (pinned by tests/oracle_test.cpp).
 ///
@@ -53,8 +53,8 @@ inline constexpr int TournamentSchemaVersion = 1;
 
 /// Tournament knobs.
 struct TournamentOptions {
-  /// Thread-pool width; 0 means ThreadPool::defaultJobCount(), 1 runs
-  /// inline with no pool.
+  /// Threads for the (function x strategy) cells; 0 means
+  /// defaultJobCount(), 1 runs inline on the caller.
   unsigned Jobs = 0;
   /// Also simulate each result against the sequential reference
   /// (dynamic cycles + semantics), seeded with Seed.
@@ -79,8 +79,8 @@ std::vector<BatchItem> makeTournamentCorpus(unsigned Count, unsigned Insts,
                                             uint64_t Seed,
                                             TournamentOptions &Opts);
 
-/// Runs every strategy (allStrategies()) on every corpus item on the
-/// thread pool and returns the `pira.tournament` v1 report. Individual
+/// Runs every strategy (allStrategies()) on every corpus item, spread
+/// over parallelFor, and returns the `pira.tournament` v1 report. Individual
 /// compile failures (including oracle blowups) become per-function
 /// records, never exceptions.
 json::Value runTournament(const std::vector<BatchItem> &Corpus,

@@ -12,8 +12,8 @@
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/UndirectedGraph.h"
 
 #include <cassert>

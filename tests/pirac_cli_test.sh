@@ -62,6 +62,14 @@ EOF
 # --- exit 0: clean compiles -------------------------------------------------
 expect 0 "clean single function"        -- "$PIRAC" good.pir
 expect 0 "clean batch"                  -- "$PIRAC" good.pir good.pir --jobs 2
+# A thread count far above the batch size is capped at one per input.
+expect 0 "--jobs far above the batch"   -- "$PIRAC" good.pir good.pir \
+                                             --jobs 4294967295
+expect 0 "PIRA_JOBS far above the batch" -- env PIRA_JOBS=4294967295 \
+                                             "$PIRAC" good.pir good.pir
+# A deadline past the clock's range never expires.
+expect 0 "--deadline-ms at its maximum" -- "$PIRAC" good.pir good.pir \
+                                             --deadline-ms 18446744073709551615
 expect 0 "--version"                    -- "$PIRAC" --version
 expect 0 "metrics to file"              -- "$PIRAC" good.pir good.pir --metrics-out m.prom
 expect 0 "metrics to stdout"            -- "$PIRAC" good.pir good.pir --metrics-out -

@@ -4,8 +4,8 @@
 // allocation / instruction scheduling framework.
 //
 // The failure model under test (DESIGN.md §8): structured diagnostics
-// (Status / Expected), the deterministic fault-injection harness, the
-// thread pool's exception capture and cooperative watchdog, and the
+// (Status / Expected), the deterministic fault-injection harness,
+// parallelFor's exception capture, the cooperative deadline, and the
 // degradation ladder that turns phase failures into rescued — or at
 // worst cleanly diagnosed — compilations.
 //
@@ -18,13 +18,14 @@
 #include "pipeline/Report.h"
 #include "pipeline/Strategies.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Status.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -258,49 +259,46 @@ TEST(StrategyRobustness, SpillAllBaselinePreservesSemanticsEverywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread pool: exception capture and the cooperative watchdog
+// parallelFor: exception capture, thread count and the cooperative watchdog
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPoolRobustness, TaskExceptionRethrownFromWaitPoolSurvives) {
-  ThreadPool Pool(4);
+  // A captured failure leaves nothing behind: the next loop over the
+  // same thread count runs clean.
   std::atomic<unsigned> Ran{0};
-  for (unsigned I = 0; I != 8; ++I)
-    Pool.submit([&Ran, I] {
-      if (I == 3)
-        throw std::runtime_error("task 3 boom");
-      ++Ran;
-    });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  EXPECT_EQ(Ran.load(), 7u) << "one poisoned task must not starve the rest";
+  EXPECT_THROW(parallelFor(8, 4,
+                           [&Ran](unsigned I) {
+                             if (I == 3)
+                               throw std::runtime_error("iter 3 boom");
+                             ++Ran;
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(Ran.load(), 7u) << "one poisoned iteration must not starve the rest";
 
-  // The pool is still healthy after a captured failure.
-  for (unsigned I = 0; I != 4; ++I)
-    Pool.submit([&Ran] { ++Ran; });
-  EXPECT_NO_THROW(Pool.wait());
+  EXPECT_NO_THROW(parallelFor(4, 4, [&Ran](unsigned) { ++Ran; }));
   EXPECT_EQ(Ran.load(), 11u);
 }
 
 TEST(ThreadPoolRobustness, ParallelForRunsEveryIterationDespiteAThrow) {
-  for (unsigned Workers : {1u, 4u}) { // inline and pooled paths
-    ThreadPool Pool(Workers);
+  for (unsigned Jobs : {1u, 4u}) { // inline and threaded paths
     std::atomic<unsigned> Ran{0};
-    EXPECT_THROW(Pool.parallelFor(16,
-                                  [&Ran](unsigned I) {
-                                    if (I == 5)
-                                      throw std::runtime_error("iter 5");
-                                    ++Ran;
-                                  }),
+    EXPECT_THROW(parallelFor(16, Jobs,
+                             [&Ran](unsigned I) {
+                               if (I == 5)
+                                 throw std::runtime_error("iter 5");
+                               ++Ran;
+                             }),
                  std::runtime_error)
-        << Workers << " workers";
-    EXPECT_EQ(Ran.load(), 15u) << Workers << " workers";
+        << Jobs << " threads";
+    EXPECT_EQ(Ran.load(), 15u) << Jobs << " threads";
   }
 }
 
-TEST(ThreadPoolRobustness, SecondaryExceptionsAreCountedNotSilent) {
-  // Only the first exception survives to the wait() rethrow; the pool
-  // drops the rest by design, but each drop must leave a telemetry
-  // trace — a silently vanishing diagnostic is the one thing the
-  // failure model forbids.
+TEST(ParallelForTest, SecondaryExceptionsAreCountedNotSilent) {
+  // Only the first exception survives to the rethrow; parallelFor drops
+  // the rest by design, but each drop must leave a telemetry trace — a
+  // silently vanishing diagnostic is the one thing the failure model
+  // forbids.
   auto Dropped = [] {
     for (const telemetry::Counter *C : telemetry::counters())
       if (std::string("NumDroppedTaskExceptions") == C->name())
@@ -309,22 +307,38 @@ TEST(ThreadPoolRobustness, SecondaryExceptionsAreCountedNotSilent) {
     return uint64_t(0);
   };
 
-  uint64_t Before = Dropped();
-  ThreadPool Pool(4);
-  for (unsigned I = 0; I != 6; ++I)
-    Pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  EXPECT_EQ(Dropped() - Before, 5u) << "six throws, one captured";
+  for (unsigned Jobs : {1u, 4u}) {
+    uint64_t Before = Dropped();
+    EXPECT_THROW(parallelFor(6, Jobs,
+                             [](unsigned) {
+                               throw std::runtime_error("iter boom");
+                             }),
+                 std::runtime_error)
+        << Jobs << " threads";
+    EXPECT_EQ(Dropped() - Before, 5u)
+        << Jobs << " threads: six throws, one captured";
+  }
+}
 
-  // The inline parallelFor path counts drops the same way.
-  Before = Dropped();
-  ThreadPool Inline(1);
-  EXPECT_THROW(Inline.parallelFor(4,
-                                  [](unsigned) {
-                                    throw std::runtime_error("iter boom");
-                                  }),
-               std::runtime_error);
-  EXPECT_EQ(Dropped() - Before, 3u) << "four throws, one captured";
+TEST(ParallelForTest, UsesMinOfJobsAndItemsThreads) {
+  auto Noop = [](unsigned) {};
+  EXPECT_EQ(parallelFor(3, 8, Noop), 3u);
+  EXPECT_EQ(parallelFor(16, 4, Noop), 4u);
+  EXPECT_EQ(parallelFor(16, 1, Noop), 1u);
+  EXPECT_EQ(parallelFor(1, 8, Noop), 1u);
+  EXPECT_EQ(parallelFor(0, 8, Noop), 1u) << "the caller always counts";
+  EXPECT_EQ(parallelFor(2, 0, Noop), std::min(2u, defaultJobCount()));
+
+  // The batch driver reports the same count: 8 jobs over 3 items start
+  // 3 threads, not 8.
+  std::vector<BatchItem> Batch;
+  for (const char *Name : {"a", "b", "c"})
+    Batch.push_back({std::string(Name) + ".pir", smallFunction(Name)});
+  BatchOptions Opts;
+  Opts.Jobs = 8;
+  BatchResult BR = compileBatch(Batch, MachineModel::rs6000(), Opts);
+  EXPECT_EQ(BR.JobsUsed, 3u);
+  EXPECT_EQ(BR.Succeeded, 3u);
 }
 
 TEST(DeadlineTest, NothingArmedNeverExpires) {
@@ -341,21 +355,68 @@ TEST(DeadlineTest, ExpiryFlipsExpiredAndCheckpointThrows) {
   EXPECT_THROW(deadline::checkpoint(), deadline::DeadlineExceededError);
 }
 
-TEST(DeadlineTest, WatchdogCancelsACooperativeTaskInThePool) {
-  ThreadPool Pool(2);
-  std::atomic<bool> OtherRan{false};
-  Pool.submit([&OtherRan] { OtherRan = true; });
-  Pool.submit([] {
-    deadline::ScopedDeadline Watchdog(5);
-    // A cooperative loop: the watchdog never kills the thread, the task
-    // unwinds itself at the next checkpoint after expiry.
-    for (unsigned I = 0; I != 100000; ++I) {
-      deadline::checkpoint();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(DeadlineTest, ABudgetBeyondTheClockRangeNeverExpires) {
+  // The deadline saturates rather than wrapping into the past.
+  deadline::ScopedDeadline Huge(UINT64_MAX);
+  EXPECT_FALSE(deadline::expired());
+  deadline::ScopedDeadline AlsoHuge(uint64_t(1) << 62);
+  EXPECT_FALSE(deadline::expired());
+}
+
+TEST(DeadlineTest, NestedDeadlinesInnermostWinsAndOuterComesBack) {
+  {
+    deadline::ScopedDeadline Outer(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(deadline::expired());
+    {
+      deadline::ScopedDeadline Inner(60000);
+      EXPECT_FALSE(deadline::expired()) << "the live inner deadline wins";
+      {
+        deadline::ScopedDeadline Unarmed(0);
+        EXPECT_FALSE(deadline::expired()) << "0 keeps the inner one armed";
+      }
     }
-  });
-  EXPECT_THROW(Pool.wait(), deadline::DeadlineExceededError);
-  EXPECT_TRUE(OtherRan.load());
+    EXPECT_TRUE(deadline::expired()) << "the outer deadline comes back";
+    deadline::ScopedDeadline Unarmed(0);
+    EXPECT_TRUE(deadline::expired()) << "0 keeps the outer one armed";
+  }
+  {
+    deadline::ScopedDeadline Outer(60000);
+    {
+      deadline::ScopedDeadline Inner(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_TRUE(deadline::expired()) << "a tighter inner deadline wins";
+    }
+    EXPECT_FALSE(deadline::expired()) << "the outer deadline comes back";
+  }
+  EXPECT_FALSE(deadline::expired()) << "nothing armed after the last scope";
+}
+
+TEST(DeadlineTest, WatchdogCancelsACooperativeIterationOfParallelFor) {
+  for (unsigned Jobs : {1u, 4u}) { // inline and threaded paths
+    std::atomic<bool> OtherRan{false};
+    EXPECT_THROW(parallelFor(2, Jobs,
+                             [&OtherRan](unsigned I) {
+                               if (I == 0) {
+                                 OtherRan = true;
+                                 return;
+                               }
+                               deadline::ScopedDeadline Watchdog(5);
+                               // A cooperative loop: nothing kills the
+                               // thread, the iteration unwinds itself at
+                               // the next checkpoint after expiry.
+                               for (unsigned K = 0; K != 100000; ++K) {
+                                 deadline::checkpoint();
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(1));
+                               }
+                             }),
+                 deadline::DeadlineExceededError)
+        << Jobs << " threads";
+    EXPECT_TRUE(OtherRan.load()) << Jobs << " threads";
+    EXPECT_FALSE(deadline::expired())
+        << Jobs << " threads: the deadline must not outlive its scope";
+  }
 }
 
 //===----------------------------------------------------------------------===//
