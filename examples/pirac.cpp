@@ -9,11 +9,12 @@
 // statistics. With no input file it compiles a built-in sample so the
 // binary runs out of the box.
 //
-// With several input files, or with --jobs, pirac switches to the batch
-// driver: every function is compiled through compileBatch() on
-// min(N, functions) threads, where N comes from --jobs, else PIRA_JOBS,
-// else the hardware; a per-function summary table is printed in input
-// order, and --stats-out emits the batch-shaped "pira.stats" report.
+// With several input files, or with --jobs, --progress or any --cache
+// flag, pirac switches to the batch driver: every function is compiled
+// through compileBatch() on min(N, functions) threads, where N comes
+// from --jobs, else PIRA_JOBS, else the hardware; a per-function summary
+// table is printed in input order, and --stats-out emits the
+// batch-shaped "pira.stats" report.
 // Batch results and reports are byte-identical for any --jobs value;
 // only the "timers" section varies (see DESIGN.md).
 //
@@ -22,8 +23,10 @@
 // reason to abandon the rest of the batch — and every function compiles
 // through the guarded pipeline (budget checks, watchdog deadline,
 // degradation ladder; DESIGN.md §8). Input failures land in the stats
-// report's "failures" section next to compile failures, and pirac exits
-// nonzero at the end if anything went wrong along the way.
+// report's "failures" section next to compile failures (a lone input
+// that fails still gets a single-function report with success false and
+// that diagnostic), and pirac exits nonzero at the end if anything went
+// wrong along the way.
 //
 // Usage: pirac [file.pir ...]
 //          [--strategy alloc-first|sched-first|ips|combined|spill-all|oracle]
@@ -37,18 +40,17 @@
 //          [--cache off|on|verify] [--cache-dir DIR] [--cache-max-mb N]
 //          [--dump-graphs]
 //          [--trace-out trace.json] [--stats-out stats.json]
-//          [--metrics-out metrics.prom] [--progress]
-//          [--time-passes] [--version]
+//          [--progress] [--time-passes] [--version]
 //
 // Observability sinks: --stats-out writes the versioned "pira.stats"
-// JSON report, --trace-out the Chrome trace of the phase spans, and
-// --metrics-out the counter and histogram registries in the
-// Prometheus/OpenMetrics text format. Each sink accepts "-" for stdout,
-// but only one may take it (exit 2 otherwise), and when one does, the
-// human-readable output moves to stderr so the machine-readable stream
-// stays clean. --progress draws a rate-limited, TTY-aware live status
-// line on stderr while a batch runs. --version prints the
-// build-provenance line and exits.
+// JSON report (or the tournament report), --trace-out the Chrome trace
+// of the phase spans; every mode writes them through one report writer,
+// for failed runs too. Each sink accepts "-" for stdout, but only one
+// may take it (exit 2 otherwise), and when one does, the human-readable
+// output moves to stderr so the machine-readable stream stays clean.
+// --progress draws a rate-limited, TTY-aware live status line on stderr
+// while a batch runs. --version prints the build-provenance line and
+// exits.
 //
 // --strategy oracle runs the exact branch-and-bound search
 // (pipeline/Oracle.h) — provably minimum-makespan spill-free code for
@@ -63,6 +65,9 @@
 // generated (--corpus-count/--corpus-insts/--corpus-seed) unless input
 // files are given, which then form the corpus. --stats-out emits the
 // "pira.tournament" v1 report, byte-identical across --jobs values.
+// Flags that only a compile honours (--strategy, --no-degrade,
+// --progress, --dump-graphs and the --cache flags) are usage errors
+// with --tournament, as --dump-graphs is in batch mode.
 //
 // --fault-inject (or the PIRA_FAULT environment variable) arms the
 // deterministic fault-injection harness; see support/FaultInjection.h
@@ -72,8 +77,9 @@
 // (pipeline/Cache.h) with an on-disk tier under DIR, implying
 // --cache on unless a mode was given explicitly; --cache on alone runs
 // memory-only. --cache verify recompiles hits anyway and cross-checks
-// byte identity; any mismatch makes the run exit nonzero. Caching
-// applies in batch mode (several inputs, or --jobs).
+// byte identity; any mismatch makes the run exit nonzero. Caching lives
+// in the batch driver, so a cache flag selects batch mode even for one
+// input.
 //
 // --cache-max-mb N bounds the on-disk tier (requires --cache-dir),
 // trimming oldest entries first; entries written by the current run are
@@ -85,8 +91,8 @@
 // Exit codes are a stable contract: 0 = everything compiled and
 // verified clean; 1 = at least one input or compile/verify failure
 // (including cache-verify mismatches); 2 = usage errors (bad flag,
-// missing value); 3 = a report that could not be written. 3 takes
-// precedence over 1 when both apply.
+// missing value, a flag the selected mode cannot honour); 3 = a report
+// that could not be written. 3 takes precedence over 1 when both apply.
 //
 //===----------------------------------------------------------------------===//
 
@@ -176,6 +182,28 @@ static bool parseCliCount(const std::string &Flag, const std::string &Text,
   return true;
 }
 
+/// The one report writer every mode ends with: the Chrome trace to
+/// \p TraceOut and \p Stats to \p StatsOut (each skipped when empty, "-"
+/// meaning stdout), then the --time-passes table on stderr. False when
+/// a sink could not be written.
+static bool emitReports(const json::Value &Stats, const std::string &TraceOut,
+                        const std::string &StatsOut, bool TimePasses) {
+  bool Ok = true;
+  std::string ReportError;
+  if (!TraceOut.empty() &&
+      !writeJsonFile(telemetry::chromeTraceToJson(), TraceOut, ReportError)) {
+    std::cerr << "trace-out: " << ReportError << '\n';
+    Ok = false;
+  }
+  if (!StatsOut.empty() && !writeJsonFile(Stats, StatsOut, ReportError)) {
+    std::cerr << "stats-out: " << ReportError << '\n';
+    Ok = false;
+  }
+  if (TimePasses)
+    telemetry::printTimerReport(std::cerr);
+  return Ok;
+}
+
 int main(int argc, char **argv) {
   // Process-wide, before any descriptor work: a report sink that
   // vanishes must surface as EPIPE on the write (a structured
@@ -192,7 +220,6 @@ int main(int argc, char **argv) {
   bool DumpGraphs = false;
   std::string TraceOut;
   std::string StatsOut;
-  std::string MetricsOut;
   bool Progress = false;
   bool TimePasses = false;
   ResourceBudget Budget;
@@ -206,6 +233,9 @@ int main(int argc, char **argv) {
   uint64_t CorpusCount = 200;
   uint64_t CorpusInsts = 12;
   uint64_t CorpusSeed = 7;
+  // Flags only a compile honours, in the order given; --tournament
+  // rejects them.
+  std::vector<std::string> CompileOnlyFlags;
 
   // Inputs that never reach compilation: unreadable files, parse and
   // verify failures. They are reported per file, carried into the stats
@@ -225,6 +255,7 @@ int main(int argc, char **argv) {
       return true;
     };
     if (Arg == "--strategy") {
+      CompileOnlyFlags.push_back(Arg);
       std::string V;
       if (!NextValue(V))
         return 2;
@@ -306,6 +337,9 @@ int main(int argc, char **argv) {
                                           Budget.MaxBlocks))
         return 2;
     } else if (Arg == "--cache") {
+      // Caching lives in the batch driver, so any cache flag selects it.
+      CompileOnlyFlags.push_back(Arg);
+      BatchMode = true;
       std::string V;
       if (!NextValue(V))
         return 2;
@@ -317,9 +351,12 @@ int main(int argc, char **argv) {
       CacheModeFlag = *M;
       CacheFlagSeen = true;
     } else if (Arg == "--cache-dir") {
+      CompileOnlyFlags.push_back(Arg);
+      BatchMode = true;
       if (!NextValue(CacheDir))
         return 2;
     } else if (Arg == "--cache-max-mb") {
+      CompileOnlyFlags.push_back(Arg);
       std::string V;
       if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, CacheMaxMB))
         return 2;
@@ -356,6 +393,7 @@ int main(int argc, char **argv) {
       if (!NextValue(V) || !parseCliCount(Arg, V, 0, UINT64_MAX, CorpusSeed))
         return 2;
     } else if (Arg == "--no-degrade") {
+      CompileOnlyFlags.push_back(Arg);
       NoDegrade = true;
     } else if (Arg == "--fault-inject") {
       std::string V;
@@ -367,6 +405,7 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--dump-graphs") {
+      CompileOnlyFlags.push_back(Arg);
       DumpGraphs = true;
     } else if (Arg == "--trace-out") {
       if (!NextValue(TraceOut))
@@ -374,10 +413,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--stats-out") {
       if (!NextValue(StatsOut))
         return 2;
-    } else if (Arg == "--metrics-out") {
-      if (!NextValue(MetricsOut))
-        return 2;
     } else if (Arg == "--progress") {
+      CompileOnlyFlags.push_back(Arg);
       Progress = true;
       BatchMode = true;
     } else if (Arg == "--time-passes") {
@@ -423,23 +460,32 @@ int main(int argc, char **argv) {
     std::cerr << "pirac: --cache-max-mb requires --cache-dir DIR\n";
     return 2;
   }
-  // At most one machine-readable sink may own stdout; the others must go
-  // to real files or the streams would interleave into garbage.
-  unsigned StdoutWriters = static_cast<unsigned>(TraceOut == "-") +
-                           static_cast<unsigned>(StatsOut == "-") +
-                           static_cast<unsigned>(MetricsOut == "-");
-  if (StdoutWriters > 1) {
-    std::cerr << "pirac: at most one of --trace-out/--stats-out/"
-                 "--metrics-out may write to stdout ('-')\n";
+  // At most one report may own stdout; two would interleave into garbage.
+  if (TraceOut == "-" && StatsOut == "-") {
+    std::cerr << "pirac: at most one of --trace-out/--stats-out may write "
+                 "to stdout ('-')\n";
     return 2;
   }
   // With stdout claimed by a report, the human-readable output moves to
   // stderr so the machine-readable stream stays parseable.
-  std::ostream &Hum = StdoutWriters != 0 ? std::cerr : std::cout;
+  std::ostream &Hum =
+      TraceOut == "-" || StatsOut == "-" ? std::cerr : std::cout;
   if (Inputs.empty() && InputFailures.empty() && !Tournament)
     Inputs.emplace_back("<sample>", SampleProgram);
   if (Inputs.size() + InputFailures.size() > 1)
     BatchMode = true;
+  // A flag the selected mode cannot honour is a usage error, never
+  // silently dropped.
+  if (Tournament && !CompileOnlyFlags.empty()) {
+    std::cerr << "pirac: " << CompileOnlyFlags.front()
+              << " does not apply to --tournament\n";
+    return 2;
+  }
+  if (BatchMode && DumpGraphs) {
+    std::cerr << "pirac: --dump-graphs needs a single input and does not "
+                 "apply in batch mode\n";
+    return 2;
+  }
 
   std::vector<BatchItem> Batch;
   for (size_t Idx = 0; Idx != Inputs.size(); ++Idx) {
@@ -464,9 +510,43 @@ int main(int argc, char **argv) {
     Batch.push_back({Name, F.take()});
   }
 
+  if (DumpGraphs && !Batch.empty()) {
+    // Per-block paper graphs in DOT, before compilation touches F.
+    const Function &F = Batch.front().Input;
+    Webs W(F);
+    InterferenceGraph IG(F, W);
+    ParallelInterferenceGraph PIG(F, W, IG, Machine);
+    {
+      DotWriter Dot(Hum, "pig", /*Directed=*/false);
+      for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
+        Dot.node(Web, "%s" + std::to_string(W.webRegister(Web)));
+      for (const auto &[A2, B2] : PIG.interference().edgeList())
+        Dot.edge(A2, B2);
+      for (const auto &[A2, B2] : PIG.parallel().edgeList())
+        if (!PIG.interference().hasEdge(A2, B2))
+          Dot.edge(A2, B2, "style=dashed, color=blue");
+    }
+    for (unsigned B2 = 0; B2 != F.numBlocks(); ++B2) {
+      FalseDependenceGraph FDG(F, B2, Machine);
+      DotWriter Dot(Hum, "ef_" + F.block(B2).name(),
+                    /*Directed=*/false);
+      for (unsigned V = 0; V != FDG.size(); ++V)
+        Dot.node(V, F.block(B2).name() + ":" + std::to_string(V));
+      Dot.allEdges(FDG.parallelPairs(), "style=dashed");
+    }
+  }
+
+  // Telemetry is opt-in: any observability flag turns on scope recording
+  // for the run that follows.
+  if (!TraceOut.empty() || !StatsOut.empty() || TimePasses)
+    telemetry::setEnabled(true);
+
+  // Every mode ends the same way: its report and its exit code (0 clean,
+  // 1 failures) go to the one report writer below.
+  json::Value Stats;
+  int Exit = 0;
+
   if (Tournament) {
-    if (!TraceOut.empty() || !StatsOut.empty() || TimePasses)
-      telemetry::setEnabled(true);
     TournamentOptions TOpts;
     TOpts.Jobs = Jobs;
     TOpts.Budget = Budget;
@@ -485,43 +565,18 @@ int main(int argc, char **argv) {
       Corpus = std::move(Batch);
       TOpts.CorpusCount = static_cast<unsigned>(Corpus.size());
     }
-    json::Value Report = runTournament(Corpus, Machine, TOpts);
-    printTournamentSummary(Report, Hum);
-
-    bool ReportsOk = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!StatsOut.empty() && !writeJsonFile(Report, StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
-    if (!ReportsOk)
-      return 3;
+    Stats = runTournament(Corpus, Machine, TOpts);
+    printTournamentSummary(Stats, Hum);
     // A heuristic "beating" the provably optimal baseline means the
     // oracle (or a heuristic's reported cost) is wrong — surface that
     // as a failure even when nobody inspects the report.
     uint64_t BeatsOracle = 0;
-    if (const json::Value *Agg = Report.find("aggregate"))
+    if (const json::Value *Agg = Stats.find("aggregate"))
       for (const json::Value &Row : Agg->elements())
         if (const json::Value *B = Row.find("beats_oracle"))
           BeatsOracle += static_cast<uint64_t>(B->asInt());
-    return (BeatsOracle == 0 && InputFailures.empty()) ? 0 : 1;
-  }
-
-  if (BatchMode) {
-    if (!TraceOut.empty() || !StatsOut.empty() || TimePasses)
-      telemetry::setEnabled(true);
+    Exit = (BeatsOracle == 0 && InputFailures.empty()) ? 0 : 1;
+  } else if (BatchMode) {
     std::optional<CompilationCache> Cache;
     if (CacheModeFlag != CacheMode::Off) {
       Cache.emplace(CacheModeFlag, CacheDir);
@@ -584,147 +639,76 @@ int main(int argc, char **argv) {
         Hum << ", " << CS.VerifyMismatches << " VERIFY MISMATCH(ES)";
       Hum << '\n';
     }
-
-    bool ReportsOk = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!StatsOut.empty() &&
-        !writeJsonFile(makeBatchStatsReport(BR, Batch, strategyName(Strategy),
-                                            Machine, InputFailures,
-                                            Cache ? &*Cache : nullptr),
-                       StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
-    // Exit taxonomy (see the usage comment): a report that could not be
-    // written takes precedence over compile failures.
-    if (!ReportsOk)
-      return 3;
-    return (BR.Succeeded == BR.Results.size() && InputFailures.empty() &&
+    Stats = makeBatchStatsReport(BR, Batch, strategyName(Strategy), Machine,
+                                 InputFailures, Cache ? &*Cache : nullptr);
+    Exit = (BR.Succeeded == BR.Results.size() && InputFailures.empty() &&
             (!Cache || Cache->stats().VerifyMismatches == 0))
                ? 0
                : 1;
-  }
+  } else if (Batch.empty()) {
+    // The lone input never reached compilation; its open/parse/verify
+    // diagnostic is the failed pipeline's.
+    PipelineResult R;
+    R.Diag = InputFailures.front().Diag;
+    R.Error = R.Diag.toString();
+    Stats = makeStatsReport(R, strategyName(Strategy), Machine);
+    Exit = 1;
+  } else {
+    Function F = std::move(Batch.front().Input);
+    Hum << "; compiling @" << F.name() << " with "
+        << strategyName(Strategy) << " for " << Machine.name() << " ("
+        << Machine.numPhysRegs() << " regs)\n\n";
 
-  // Single-function mode; the lone input may already have failed.
-  if (Batch.empty())
-    return 1;
-  Function F = std::move(Batch.front().Input);
+    // Single-function compiles run under the same guard as batch items:
+    // budget checks, watchdog deadline, exception capture, degradation
+    // ladder. The fault key stays at its default of 0, so every armed
+    // site fires — handy for exercising one site in isolation.
+    BatchOptions GuardOpts;
+    GuardOpts.Strategy = Strategy;
+    GuardOpts.Oracle = OracleOpts;
+    GuardOpts.Budget = Budget;
+    GuardOpts.Degrade = !NoDegrade;
+    GuardedResult G = compileFunctionGuarded(F, Machine, GuardOpts);
+    const PipelineResult &R = G.Result;
 
-  if (DumpGraphs) {
-    // Per-block paper graphs in DOT, before compilation touches F.
-    Webs W(F);
-    InterferenceGraph IG(F, W);
-    ParallelInterferenceGraph PIG(F, W, IG, Machine);
-    {
-      DotWriter Dot(Hum, "pig", /*Directed=*/false);
-      for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
-        Dot.node(Web, "%s" + std::to_string(W.webRegister(Web)));
-      for (const auto &[A2, B2] : PIG.interference().edgeList())
-        Dot.edge(A2, B2);
-      for (const auto &[A2, B2] : PIG.parallel().edgeList())
-        if (!PIG.interference().hasEdge(A2, B2))
-          Dot.edge(A2, B2, "style=dashed, color=blue");
+    for (const CompileAttempt &A : G.Outcome.FailedAttempts)
+      Hum << "; attempt " << A.Rung << " failed: " << A.Diag.toString()
+          << '\n';
+    if (G.Outcome.Degraded)
+      Hum << "; NOTE: degraded to " << G.Outcome.Used << " (rung "
+          << G.Outcome.Rung << ")\n";
+
+    if (!R.Success) {
+      std::cerr << "compilation failed: "
+                << (R.Diag.ok() ? R.Error : R.Diag.toString()) << '\n';
+      Exit = 1;
+    } else {
+      printFunction(R.Final, Hum);
+      Hum << "\n; schedule:\n";
+      for (unsigned B = 0; B != R.Final.numBlocks(); ++B) {
+        Hum << "; block " << R.Final.block(B).name() << " ("
+            << R.Sched.Blocks[B].Makespan << " cycles)\n";
+        auto Groups = R.Sched.Blocks[B].groupsByCycle();
+        for (unsigned C = 0; C != Groups.size(); ++C) {
+          Hum << ";   " << C << ":";
+          for (unsigned I : Groups[C])
+            Hum << "  " << formatInstruction(R.Final.block(B).inst(I),
+                                             true, &R.Final);
+          Hum << '\n';
+        }
+      }
+      Hum << "\n; registers used:   " << R.RegistersUsed
+          << "\n; spill instrs:     " << R.SpillInstructions
+          << "\n; false deps:       " << R.FalseDeps
+          << "\n; dynamic cycles:   " << R.DynCycles
+          << "\n; semantics check:  "
+          << (R.SemanticsPreserved ? "pass" : "FAIL") << '\n';
     }
-    for (unsigned B2 = 0; B2 != F.numBlocks(); ++B2) {
-      FalseDependenceGraph FDG(F, B2, Machine);
-      DotWriter Dot(Hum, "ef_" + F.block(B2).name(),
-                    /*Directed=*/false);
-      for (unsigned V = 0; V != FDG.size(); ++V)
-        Dot.node(V, F.block(B2).name() + ":" + std::to_string(V));
-      Dot.allEdges(FDG.parallelPairs(), "style=dashed");
-    }
+    Stats = makeStatsReport(R, strategyName(Strategy), Machine);
   }
-
-  Hum << "; compiling @" << F.name() << " with "
-      << strategyName(Strategy) << " for " << Machine.name() << " ("
-      << Machine.numPhysRegs() << " regs)\n\n";
-
-  // Telemetry is opt-in: any observability flag turns on scope recording
-  // for the compilation that follows.
-  if (!TraceOut.empty() || !StatsOut.empty() || TimePasses)
-    telemetry::setEnabled(true);
-
-  // Single-function compiles run under the same guard as batch items:
-  // budget checks, watchdog deadline, exception capture, degradation
-  // ladder. The fault key stays at its default of 0, so every armed site
-  // fires — handy for exercising one site in isolation.
-  BatchOptions GuardOpts;
-  GuardOpts.Strategy = Strategy;
-  GuardOpts.Oracle = OracleOpts;
-  GuardOpts.Budget = Budget;
-  GuardOpts.Degrade = !NoDegrade;
-  GuardedResult G = compileFunctionGuarded(F, Machine, GuardOpts);
-  PipelineResult &R = G.Result;
-
-  for (const CompileAttempt &A : G.Outcome.FailedAttempts)
-    Hum << "; attempt " << A.Rung << " failed: " << A.Diag.toString() << '\n';
-  if (G.Outcome.Degraded)
-    Hum << "; NOTE: degraded to " << G.Outcome.Used << " (rung "
-        << G.Outcome.Rung << ")\n";
 
   // Reports are written even for failed runs — a trace of a failing
-  // pipeline is exactly when you want one.
-  auto EmitReports = [&]() -> bool {
-    bool Ok = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (!StatsOut.empty() &&
-        !writeJsonFile(makeStatsReport(R, strategyName(Strategy), Machine),
-                       StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
-    return Ok;
-  };
-
-  if (!R.Success) {
-    std::cerr << "compilation failed: "
-              << (R.Diag.ok() ? R.Error : R.Diag.toString()) << '\n';
-    return EmitReports() ? 1 : 3;
-  }
-
-  printFunction(R.Final, Hum);
-  Hum << "\n; schedule:\n";
-  for (unsigned B = 0; B != R.Final.numBlocks(); ++B) {
-    Hum << "; block " << R.Final.block(B).name() << " ("
-        << R.Sched.Blocks[B].Makespan << " cycles)\n";
-    auto Groups = R.Sched.Blocks[B].groupsByCycle();
-    for (unsigned C = 0; C != Groups.size(); ++C) {
-      Hum << ";   " << C << ":";
-      for (unsigned I : Groups[C])
-        Hum << "  " << formatInstruction(R.Final.block(B).inst(I),
-                                         true, &R.Final);
-      Hum << '\n';
-    }
-  }
-  Hum << "\n; registers used:   " << R.RegistersUsed
-      << "\n; spill instrs:     " << R.SpillInstructions
-      << "\n; false deps:       " << R.FalseDeps
-      << "\n; dynamic cycles:   " << R.DynCycles
-      << "\n; semantics check:  "
-      << (R.SemanticsPreserved ? "pass" : "FAIL") << '\n';
-  return EmitReports() ? 0 : 3;
+  // pipeline is exactly when you want one. A report that could not be
+  // written takes precedence over compile failures (exit 3).
+  return emitReports(Stats, TraceOut, StatsOut, TimePasses) ? Exit : 3;
 }

@@ -33,11 +33,6 @@ PIRA_STAT(NumFailedFunctions, "Functions that failed every ladder rung");
 PIRA_STAT(NumCapturedTaskExceptions,
           "Phase exceptions captured by the compile guard");
 
-PIRA_HIST(CompileFunctionLatency,
-          "End-to-end latency of one function's guarded compile");
-PIRA_HIST(LadderRungLatency,
-          "Latency of one degradation-ladder rung attempt");
-
 /// Marks \p R failed with both the legacy string and the structured
 /// diagnostic (the Strategies-side twin is file-static).
 static void failResult(PipelineResult &R, Status S) {
@@ -133,11 +128,7 @@ GuardedResult pira::compileFunctionGuarded(const Function &Input,
   }
 
   for (unsigned I = 0; I != Rungs.size(); ++I) {
-    PipelineResult R;
-    {
-      telemetry::HistTimer RungTimer(LadderRungLatency);
-      R = runRungGuarded(Rungs[I], Input, Machine, Opts);
-    }
+    PipelineResult R = runRungGuarded(Rungs[I], Input, Machine, Opts);
     R.Diag.addContext("rung " + std::string(strategyName(Rungs[I])));
     R.Diag.addContext(FnFrame);
     Out.Outcome.Used = strategyName(Rungs[I]);
@@ -318,7 +309,6 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
   R.Outcomes.resize(Batch.size());
 
   auto Compile = [&](unsigned I) {
-    telemetry::HistTimer Latency(CompileFunctionLatency);
     return compileFunctionGuarded(Batch[I].Input, Machine, Opts);
   };
 
@@ -397,7 +387,6 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
     Span.DurationNs = telemetry::monotonicNowNs() - BatchStartNs;
     Span.ThreadId = 0; // compileBatch runs on the driver's main thread
     Span.Depth = 0;
-    Span.Pid = telemetry::processId();
     telemetry::recordEvent(std::move(Span));
   }
 
@@ -431,13 +420,7 @@ json::Value pira::makeBatchStatsReport(
     const std::string &Strategy, const MachineModel &Machine,
     const std::vector<BatchFailure> &InputFailures,
     const CompilationCache *Cache) {
-  json::Value Root = json::Value::object();
-  Root.set("schema", StatsSchemaName);
-  Root.set("version", StatsSchemaVersion);
-  Root.set("provenance", buildProvenanceToJson());
-  if (!Strategy.empty())
-    Root.set("strategy", Strategy);
-  Root.set("machine", machineToJson(Machine));
+  json::Value Root = beginStatsReport(Strategy, Machine);
 
   // Callers that assembled a BatchResult by hand may not have outcome
   // records; the report degrades to the pre-ladder shape then.
@@ -502,11 +485,6 @@ json::Value pira::makeBatchStatsReport(
 
   if (Cache != nullptr)
     Root.set("cache", Cache->statsToJson());
-  Root.set("counters", countersToJson());
-  // The volatile tail: histogram bucket placement and timers carry wall
-  // clock. Identity checks neutralize both (histogram *counts* stay
-  // comparable; see Report.h).
-  Root.set("histograms", histogramsToJson());
-  Root.set("timers", timersToJson());
+  endStatsReport(Root);
   return Root;
 }

@@ -213,26 +213,21 @@ struct ProgressSnapshot {
 std::string formatProgressLine(const ProgressSnapshot &S);
 
 /// Assembles the versioned "pira.stats" document for a batch run: the
-/// shared preamble, one "functions" array entry per item (input order),
-/// batch aggregates, a "failures" array (every failed function plus the
-/// \p InputFailures that never compiled), a "degradations" array (every
-/// function rescued below its requested rung, with the per-rung
-/// diagnostics), a "cache" block when \p Cache is non-null (schema v3),
-/// counters, and timers. Schema v4 added a per-function "isolation"
-/// record and the batch "isolated"/"crashes"/"timeouts"/"retries"
-/// tallies for out-of-process compiles. Schema v5 adds the "provenance"
-/// block and the "histograms" section (pipeline/Report.h). Schema v6
-/// drops the always-zero "remote_hits" key from "cache". Schema v7
-/// drops the v4 "isolation" record and the four batch tallies, along
-/// with out-of-process compilation, their only source.
-/// Everything except "histograms" bucket placement and "timers" is
-/// byte-identical across worker counts (histogram *counts* included);
+/// shared preamble (beginStatsReport), one "functions" array entry per
+/// item (input order), batch aggregates, a "failures" array (every
+/// failed function plus the \p InputFailures that never compiled), a
+/// "degradations" array (every function rescued below its requested
+/// rung, with the per-rung diagnostics), a "cache" block when \p Cache
+/// is non-null (schema v3), and the shared tail of counters and timers
+/// (endStatsReport). Schema v5 added the "provenance" block, v6 dropped
+/// "remote_hits" from "cache", v7 dropped the out-of-process records and
+/// v8 the "histograms" section (pipeline/Report.h).
+/// Everything except "timers" is byte-identical across worker counts;
 /// the worker count itself is deliberately not recorded so reports diff
-/// clean across --jobs values. (The "counters", "histograms", and
-/// "cache" sections do vary between cold and warm cache runs — a hit
-/// legitimately skips the compile-phase counters — so warm-vs-cold
-/// report comparisons exclude "timers", "counters", "histograms", and
-/// "cache".)
+/// clean across --jobs values. (The "counters" and "cache" sections do
+/// vary between cold and warm cache runs — a hit legitimately skips the
+/// compile-phase counters — so warm-vs-cold report comparisons exclude
+/// "timers", "counters" and "cache".)
 json::Value makeBatchStatsReport(const BatchResult &R,
                                  const std::vector<BatchItem> &Batch,
                                  const std::string &Strategy,

@@ -43,10 +43,6 @@ PIRA_STAT(NumCacheVerifyMismatches,
 PIRA_STAT(NumCacheTrimmedEntries,
           "On-disk cache entries evicted by the size bound");
 
-PIRA_HIST(CacheLookupLatency,
-          "One cache lookup: memory probe, and the disk read when it "
-          "misses there");
-
 const char *pira::cacheModeName(CacheMode Mode) {
   switch (Mode) {
   case CacheMode::Off:
@@ -280,7 +276,6 @@ std::string CompilationCache::filePathFor(const std::string &Key) const {
 std::optional<PipelineResult>
 CompilationCache::lookup(const std::string &Key, std::string *SerializedOut) {
   PIRA_TIME_SCOPE("cache/lookup");
-  telemetry::HistTimer Latency(CacheLookupLatency);
   std::shared_ptr<const json::Value> Entry;
   {
     std::lock_guard<std::mutex> Lock(Mutex);

@@ -64,7 +64,6 @@ PIRA_STAT(NumOracleNodes, "Oracle search nodes expanded");
 PIRA_STAT(NumOracleBoundPrunes, "Oracle branches cut by admissible bounds");
 PIRA_STAT(NumOracleDominancePrunes,
           "Oracle states cut by dominance memoization");
-PIRA_HIST(OracleSearchNs, "Oracle search wall time per function (ns)");
 
 namespace {
 
@@ -693,10 +692,7 @@ Status OracleSearch::materialize(PipelineResult &Out) {
 Status OracleSearch::run(const OracleOptions &Opts, PipelineResult &Out) {
   if (Status S = prepare(Opts); !S.ok())
     return S;
-  {
-    telemetry::HistTimer T(OracleSearchNs);
-    dfs(/*Cycle=*/0, /*MkSoFar=*/0);
-  }
+  dfs(/*Cycle=*/0, /*MkSoFar=*/0);
   if (Exhausted) {
     ++NumOracleExhausted;
     return Status::error(

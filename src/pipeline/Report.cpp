@@ -61,37 +61,6 @@ json::Value pira::countersToJson() {
   return C;
 }
 
-json::Value pira::histogramsToJson() {
-  json::Value Root = json::Value::object();
-  for (const telemetry::Histogram *H : telemetry::histograms()) {
-    json::Value One = json::Value::object();
-    One.set("description", H->description());
-    uint64_t Count = H->count();
-    One.set("count", Count);
-    One.set("sum_ns", H->sum());
-    One.set("max_ns", H->max());
-    // An empty histogram has no percentiles; omitting the keys (rather
-    // than inventing a value) keeps consumers from averaging zeros in.
-    if (Count != 0) {
-      One.set("p50_ns", H->percentileUpperBound(50.0));
-      One.set("p90_ns", H->percentileUpperBound(90.0));
-      One.set("p99_ns", H->percentileUpperBound(99.0));
-    }
-    json::Value Buckets = json::Value::array();
-    for (unsigned I = 0; I < telemetry::Histogram::NumBuckets; ++I) {
-      if (uint64_t N = H->bucketCount(I)) {
-        json::Value Pair = json::Value::array();
-        Pair.push(static_cast<int64_t>(I));
-        Pair.push(static_cast<int64_t>(N));
-        Buckets.push(std::move(Pair));
-      }
-    }
-    One.set("buckets", std::move(Buckets));
-    Root.set(H->name(), std::move(One));
-  }
-  return Root;
-}
-
 json::Value pira::buildProvenanceToJson() {
   json::Value P = json::Value::object();
   P.set("tool", "pirac");
@@ -125,9 +94,8 @@ json::Value pira::timersToJson() {
   return T;
 }
 
-json::Value pira::makeStatsReport(const PipelineResult &R,
-                                  const std::string &Strategy,
-                                  const MachineModel &Machine) {
+json::Value pira::beginStatsReport(const std::string &Strategy,
+                                   const MachineModel &Machine) {
   json::Value Root = json::Value::object();
   Root.set("schema", StatsSchemaName);
   Root.set("version", StatsSchemaVersion);
@@ -135,10 +103,20 @@ json::Value pira::makeStatsReport(const PipelineResult &R,
   if (!Strategy.empty())
     Root.set("strategy", Strategy);
   Root.set("machine", machineToJson(Machine));
-  Root.set("pipeline", pipelineResultToJson(R));
+  return Root;
+}
+
+void pira::endStatsReport(json::Value &Root) {
   Root.set("counters", countersToJson());
-  Root.set("histograms", histogramsToJson());
   Root.set("timers", timersToJson());
+}
+
+json::Value pira::makeStatsReport(const PipelineResult &R,
+                                  const std::string &Strategy,
+                                  const MachineModel &Machine) {
+  json::Value Root = beginStatsReport(Strategy, Machine);
+  Root.set("pipeline", pipelineResultToJson(R));
+  endStatsReport(Root);
   return Root;
 }
 

@@ -12,10 +12,10 @@
 /// --stats-out` and the bench binaries emit this format so
 /// the perf trajectory of the repo is diffable across PRs.
 ///
-/// Schema (version 7):
+/// Schema (version 8):
 ///
 ///   {
-///     "schema": "pira.stats", "version": 7,
+///     "schema": "pira.stats", "version": 8,
 ///     "provenance": {"tool", "tool_version", "git_sha", "compiler",
 ///                    "build_type", "ndebug"},
 ///     "strategy": "combined",            // when known
@@ -24,9 +24,6 @@
 ///                   "diagnostic": {"code", "phase", "message",
 ///                                  "context": [...]} },
 ///     "counters": {"NumFoo": {"value": N, "description": ...}, ...},
-///     "histograms": {"FooLatency": {"description", "count", "sum_ns",
-///                    "max_ns", "p50_ns", "p90_ns", "p99_ns",
-///                    "buckets": [[i, n], ...]}, ...},
 ///     "timers": [{"path": ..., "calls": N, "total_ns": N}, ...]
 ///   }
 ///
@@ -48,14 +45,14 @@
 /// the remote cache tier that was its only source.
 /// v7 removed the v4 "isolation" record and the four batch tallies,
 /// along with out-of-process compilation, their only source.
+/// v8 removed the "histograms" section: each latency it held timed a
+/// span that a phase scope under "timers" already covers.
 ///
-/// Byte-identity contract: everything above the "histograms" key is
-/// deterministic for deterministic inputs (counters and histogram
-/// *counts* merge commutatively, so they match across --jobs); the
-/// "histograms" bucket placement and "timers" sections carry wall-clock
-/// measurements and are the report's volatile tail — identity checks
-/// neutralize those two sections and compare histogram counts
-/// separately.
+/// Byte-identity contract: everything above the "timers" key is
+/// deterministic for deterministic inputs (counters merge commutatively,
+/// so they match across --jobs); "timers" carries wall-clock
+/// measurements and is the report's one volatile section, which
+/// identity checks neutralize.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,7 +70,7 @@ class MachineModel;
 
 /// Schema constants; bump the version whenever a field changes meaning.
 inline constexpr const char *StatsSchemaName = "pira.stats";
-inline constexpr int StatsSchemaVersion = 7;
+inline constexpr int StatsSchemaVersion = 8;
 
 /// The tool version stamped into provenance blocks and --version output.
 inline constexpr const char *PiraVersionString = "0.6.0";
@@ -88,13 +85,6 @@ json::Value machineToJson(const MachineModel &Machine);
 /// The registered telemetry counters as {"name": {"value", "description"}}.
 json::Value countersToJson();
 
-/// The registered latency histograms as {"name": {"description",
-/// "count", "sum_ns", "max_ns", "p50_ns", "p90_ns", "p99_ns",
-/// "buckets": [[index, count], ...]}}. Every registered histogram
-/// appears (a stable key set); buckets are sparse. Percentiles are the
-/// deterministic log2 bucket upper bounds.
-json::Value histogramsToJson();
-
 /// Aggregated phase timers as [{"path", "calls", "total_ns"}].
 json::Value timersToJson();
 
@@ -103,6 +93,15 @@ json::Value timersToJson();
 /// type when the build system knew them, compiler id/version, and
 /// whether asserts were compiled out (ndebug).
 json::Value buildProvenanceToJson();
+
+/// The keys every pira.stats document opens with: schema, version,
+/// provenance, strategy (omitted when \p Strategy is empty) and machine.
+json::Value beginStatsReport(const std::string &Strategy,
+                             const MachineModel &Machine);
+
+/// Appends the keys every pira.stats document closes with: "counters",
+/// then the volatile "timers".
+void endStatsReport(json::Value &Root);
 
 /// Assembles the full versioned stats document for one pipeline run.
 /// \p Strategy may be empty when the run is not strategy-shaped.

@@ -8,13 +8,8 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
 #include <chrono>
-#include <cmath>
-#include <fstream>
 #include <iomanip>
-#include <iostream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -34,7 +29,6 @@ std::atomic<bool> Enabled{false};
 struct GlobalState {
   std::mutex Mutex;
   std::vector<Counter *> Counters;
-  std::vector<Histogram *> Histograms;
   std::vector<TimedEvent> Events;
   uint32_t NextThreadId = 0;
 };
@@ -70,15 +64,6 @@ uint64_t nowNs() {
           .count());
 }
 
-/// Shortest round-trip decimal form, locale-independent (the same
-/// contract the JSON writer keeps).
-void writeDouble(std::ostream &OS, double V) {
-  char Buf[64];
-  auto [Ptr, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), V);
-  (void)Ec;
-  OS.write(Buf, Ptr - Buf);
-}
-
 } // namespace
 
 bool telemetry::enabled() { return Enabled.load(std::memory_order_relaxed); }
@@ -93,13 +78,6 @@ void telemetry::reset() {
   S.Events.clear();
   for (Counter *C : S.Counters)
     C->Value.store(0, std::memory_order_relaxed);
-  for (Histogram *H : S.Histograms) {
-    for (auto &B : H->Buckets)
-      B.store(0, std::memory_order_relaxed);
-    H->Count.store(0, std::memory_order_relaxed);
-    H->Sum.store(0, std::memory_order_relaxed);
-    H->Max.store(0, std::memory_order_relaxed);
-  }
 }
 
 uint64_t telemetry::processId() {
@@ -122,71 +100,6 @@ Counter::Counter(const char *Name, const char *Description)
 
 const std::vector<Counter *> &telemetry::counters() {
   return state().Counters;
-}
-
-//===----------------------------------------------------------------------===//
-// Histograms
-//===----------------------------------------------------------------------===//
-
-Histogram::Histogram(const char *Name, const char *Description)
-    : Name(Name), Description(Description) {
-  GlobalState &S = state();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Histograms.push_back(this);
-}
-
-unsigned Histogram::bucketFor(uint64_t V) {
-  if (V == 0)
-    return 0;
-  unsigned Width = static_cast<unsigned>(std::bit_width(V));
-  return Width < NumBuckets ? Width : NumBuckets - 1;
-}
-
-uint64_t Histogram::bucketUpperBound(unsigned I) {
-  if (I == 0)
-    return 0;
-  if (I >= NumBuckets - 1)
-    return UINT64_MAX;
-  return (uint64_t{1} << I) - 1;
-}
-
-uint64_t Histogram::percentileUpperBound(double P) const {
-  // One snapshot of the buckets, with the total derived from that same
-  // snapshot. Count and the buckets are distinct relaxed atomics, so a
-  // total read separately (as this used to) can exceed the bucket mass
-  // the rank walk then observes — e.g. around reset() — stranding the
-  // rank past every bucket and answering with the last bucket's
-  // UINT64_MAX bound for a histogram holding nothing.
-  std::array<uint64_t, NumBuckets> Snap;
-  uint64_t N = 0;
-  for (unsigned I = 0; I < NumBuckets; ++I) {
-    Snap[I] = bucketCount(I);
-    N += Snap[I];
-  }
-  if (N == 0)
-    return 0;
-  // Rank of the percentile observation, 1-based, clamped into [1, N].
-  uint64_t Rank = static_cast<uint64_t>(std::ceil(static_cast<double>(N) * P /
-                                                  100.0));
-  Rank = std::min(std::max<uint64_t>(Rank, 1), N);
-  uint64_t Seen = 0;
-  for (unsigned I = 0; I < NumBuckets; ++I) {
-    Seen += Snap[I];
-    if (Seen >= Rank)
-      return bucketUpperBound(I);
-  }
-  return bucketUpperBound(NumBuckets - 1); // unreachable: Rank <= N
-}
-
-const std::vector<Histogram *> &telemetry::histograms() {
-  return state().Histograms;
-}
-
-Histogram *telemetry::findHistogram(const std::string &Name) {
-  for (Histogram *H : state().Histograms)
-    if (Name == H->name())
-      return H;
-  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -223,8 +136,8 @@ TimeScope::~TimeScope() {
   }
   GlobalState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Events.push_back({std::move(Path), Label, StartNs, End - StartNs, TS.Id,
-                      Depth, processId()});
+  S.Events.push_back(
+      {std::move(Path), Label, StartNs, End - StartNs, TS.Id, Depth});
 }
 
 std::vector<TimedEvent> telemetry::events() {
@@ -279,46 +192,34 @@ void telemetry::printTimerReport(std::ostream &OS) {
 }
 
 //===----------------------------------------------------------------------===//
-// Exporters
+// Trace export
 //===----------------------------------------------------------------------===//
 
-void telemetry::writeChromeTrace(std::ostream &OS) {
+json::Value telemetry::chromeTraceToJson() {
   std::vector<TimedEvent> Evs = events();
+  const int64_t Pid = static_cast<int64_t>(processId());
 
-  json::Value Root = json::Value::object();
   json::Value Trace = json::Value::array();
-
   // Metadata first: name the process and every thread that appears so
   // the trace reads as labeled tracks, not bare pid numbers.
-  std::set<uint64_t> Pids;
-  std::set<std::pair<uint64_t, uint32_t>> Threads;
-  for (const TimedEvent &E : Evs) {
-    Pids.insert(E.Pid);
-    Threads.insert({E.Pid, E.ThreadId});
-  }
-  for (uint64_t Pid : Pids) {
+  auto Metadata = [&](const char *Kind, uint32_t Tid, std::string Name) {
     json::Value Ev = json::Value::object();
-    Ev.set("name", "process_name");
+    Ev.set("name", Kind);
     Ev.set("ph", "M");
-    Ev.set("pid", static_cast<int64_t>(Pid));
-    Ev.set("tid", 0);
-    json::Value Args = json::Value::object();
-    Args.set("name", "pirac");
-    Ev.set("args", std::move(Args));
-    Trace.push(std::move(Ev));
-  }
-  for (const auto &[Pid, Tid] : Threads) {
-    json::Value Ev = json::Value::object();
-    Ev.set("name", "thread_name");
-    Ev.set("ph", "M");
-    Ev.set("pid", static_cast<int64_t>(Pid));
+    Ev.set("pid", Pid);
     Ev.set("tid", static_cast<int64_t>(Tid));
     json::Value Args = json::Value::object();
-    Args.set("name", Tid == 0 ? std::string("main")
-                              : "thread-" + std::to_string(Tid));
+    Args.set("name", std::move(Name));
     Ev.set("args", std::move(Args));
     Trace.push(std::move(Ev));
-  }
+  };
+  Metadata("process_name", 0, "pirac");
+  std::set<uint32_t> Threads;
+  for (const TimedEvent &E : Evs)
+    Threads.insert(E.ThreadId);
+  for (uint32_t Tid : Threads)
+    Metadata("thread_name", Tid,
+             Tid == 0 ? std::string("main") : "thread-" + std::to_string(Tid));
 
   for (const TimedEvent &E : Evs) {
     json::Value Ev = json::Value::object();
@@ -329,7 +230,7 @@ void telemetry::writeChromeTrace(std::ostream &OS) {
     Ev.set("ph", "X");
     Ev.set("ts", static_cast<double>(E.StartNs) / 1e3); // microseconds
     Ev.set("dur", static_cast<double>(E.DurationNs) / 1e3);
-    Ev.set("pid", static_cast<int64_t>(E.Pid));
+    Ev.set("pid", Pid);
     Ev.set("tid", static_cast<int64_t>(E.ThreadId));
     json::Value Args = json::Value::object();
     Args.set("path", E.Path);
@@ -337,92 +238,8 @@ void telemetry::writeChromeTrace(std::ostream &OS) {
     Ev.set("args", std::move(Args));
     Trace.push(std::move(Ev));
   }
+  json::Value Root = json::Value::object();
   Root.set("traceEvents", std::move(Trace));
   Root.set("displayTimeUnit", "ms");
-  Root.write(OS, 0);
-  OS << '\n';
-}
-
-bool telemetry::writeChromeTraceFile(const std::string &FilePath,
-                                     std::string &Error) {
-  if (FilePath == "-") {
-    writeChromeTrace(std::cout);
-    std::cout.flush();
-    if (!std::cout) {
-      Error = "error while writing trace to stdout";
-      return false;
-    }
-    return true;
-  }
-  std::ofstream Out(FilePath);
-  if (!Out) {
-    Error = "cannot open '" + FilePath + "' for writing";
-    return false;
-  }
-  writeChromeTrace(Out);
-  if (!Out) {
-    Error = "error while writing '" + FilePath + "'";
-    return false;
-  }
-  return true;
-}
-
-void telemetry::writePrometheus(std::ostream &OS) {
-  for (const Counter *C : counters()) {
-    std::string Metric = std::string("pira_") + C->name() + "_total";
-    OS << "# HELP " << Metric << ' ' << C->description() << '\n';
-    OS << "# TYPE " << Metric << " counter\n";
-    OS << Metric << ' ' << C->value() << '\n';
-  }
-  for (const Histogram *H : histograms()) {
-    std::string Metric = std::string("pira_") + H->name() + "_seconds";
-    OS << "# HELP " << Metric << ' ' << H->description() << '\n';
-    OS << "# TYPE " << Metric << " histogram\n";
-    // Cumulative buckets up to the highest populated boundary; the
-    // boundaries are the histogram's inclusive log2 upper bounds,
-    // converted from ns to seconds.
-    unsigned MaxBucket = 0;
-    for (unsigned I = 0; I < Histogram::NumBuckets; ++I)
-      if (H->bucketCount(I))
-        MaxBucket = I;
-    uint64_t Cumulative = 0;
-    for (unsigned I = 0; I <= MaxBucket && I < Histogram::NumBuckets - 1;
-         ++I) {
-      Cumulative += H->bucketCount(I);
-      OS << Metric << "_bucket{le=\"";
-      writeDouble(OS,
-                  static_cast<double>(Histogram::bucketUpperBound(I)) / 1e9);
-      OS << "\"} " << Cumulative << '\n';
-    }
-    OS << Metric << "_bucket{le=\"+Inf\"} " << H->count() << '\n';
-    OS << Metric << "_sum ";
-    writeDouble(OS, static_cast<double>(H->sum()) / 1e9);
-    OS << '\n';
-    OS << Metric << "_count " << H->count() << '\n';
-  }
-  OS << "# EOF\n";
-}
-
-bool telemetry::writeMetricsFile(const std::string &FilePath,
-                                 std::string &Error) {
-  if (FilePath == "-") {
-    writePrometheus(std::cout);
-    std::cout.flush();
-    if (!std::cout) {
-      Error = "error while writing metrics to stdout";
-      return false;
-    }
-    return true;
-  }
-  std::ofstream Out(FilePath);
-  if (!Out) {
-    Error = "cannot open '" + FilePath + "' for writing";
-    return false;
-  }
-  writePrometheus(Out);
-  if (!Out) {
-    Error = "error while writing '" + FilePath + "'";
-    return false;
-  }
-  return true;
+  return Root;
 }

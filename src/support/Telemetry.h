@@ -20,30 +20,22 @@
 ///     via relaxed atomics (so later parallel passes can share them),
 ///     and are enumerable for reports.
 ///
-///   * PIRA_HIST(FooLatency, "description") — a fixed-bucket log2
-///     latency histogram (64 power-of-two buckets over nanoseconds).
-///     Like counters, histograms record regardless of the enable switch
-///     (a handful of relaxed increments per coarse-grained event), and
-///     bucket counts do not depend on which thread recorded a value, so
-///     distributions from thread-pool workers stay deterministic. Stats
-///     reports derive p50/p90/p99 upper bounds from the buckets.
-///
-///   * Chrome trace-event export (writeChromeTrace) — one complete "X"
-///     duration event per finished scope, tagged with the real process
-///     id and a dense thread id, plus "M" metadata events naming every
-///     process and thread, loadable in chrome://tracing or Perfetto.
+///   * Chrome trace-event export (chromeTraceToJson) — one complete "X"
+///     duration event per finished scope, tagged with the process id
+///     and a dense thread id, plus "M" metadata events naming the
+///     process and every thread, loadable in chrome://tracing or
+///     Perfetto.
 ///
 ///   * Aggregated timing (timerAggregates / printTimerReport) — per-path
 ///     call counts and total wall time, the data behind `pirac
 ///     --time-passes` and the "timers" section of stats reports.
 ///
-///   * Prometheus/OpenMetrics export (writePrometheus) — the counter
-///     registry and every histogram in the text exposition format, the
-///     data behind `pirac --metrics-out`.
+/// Scopes are the one timing mechanism: a latency worth reporting is a
+/// scope's path in the trace and its aggregate in the timers.
 ///
-/// Thread-safety: counters and histograms are always safe; scope
-/// recording takes one mutex per *finished* scope, and the active-scope
-/// stack is thread-local, so instrumented passes may run concurrently.
+/// Thread-safety: counters are always safe; scope recording takes one
+/// mutex per *finished* scope, and the active-scope stack is
+/// thread-local, so instrumented passes may run concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +44,6 @@
 
 #include "support/Json.h"
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <ostream>
@@ -66,20 +57,19 @@ namespace telemetry {
 // Global enable switch
 //===----------------------------------------------------------------------===//
 
-/// True when phase timers record events. Counters and histograms record
-/// regardless (a relaxed increment is cheaper than the branch would be
-/// worth).
+/// True when phase timers record events. Counters record regardless (a
+/// relaxed increment is cheaper than the branch would be worth).
 bool enabled();
 
 /// Turns scope recording on or off process-wide.
 void setEnabled(bool On);
 
-/// Zeroes every registered counter and histogram and drops all recorded
-/// timer events. Active (unclosed) scopes are unaffected: their paths
-/// were captured on entry and they record normally when they close.
+/// Zeroes every registered counter and drops all recorded timer
+/// events. Active (unclosed) scopes are unaffected: their paths were
+/// captured on entry and they record normally when they close.
 void reset();
 
-/// The calling process's pid, cached. Stamped on every recorded event.
+/// The calling process's pid, cached. The pid of every trace event.
 uint64_t processId();
 
 /// Monotonic now, ns since the clock epoch — the same clock the timers
@@ -128,87 +118,6 @@ private:
 const std::vector<Counter *> &counters();
 
 //===----------------------------------------------------------------------===//
-// Histograms
-//===----------------------------------------------------------------------===//
-
-/// A fixed-bucket log2 histogram over uint64 values (nanoseconds by
-/// convention). Bucket 0 holds exactly the value 0; bucket i >= 1 holds
-/// [2^(i-1), 2^i). Values at or above 2^62 land in the last bucket.
-/// Everything is relaxed atomics, so recording is safe from any thread,
-/// and bucket counts do not depend on which thread recorded what — the
-/// property the batch driver's byte-identity contract leans on.
-/// Instances must have static storage duration (PIRA_HIST arranges
-/// this).
-class Histogram {
-public:
-  static constexpr unsigned NumBuckets = 64;
-
-  Histogram(const char *Name, const char *Description);
-
-  /// Records one value (ns).
-  void record(uint64_t V) {
-    Buckets[bucketFor(V)].fetch_add(1, std::memory_order_relaxed);
-    Count.fetch_add(1, std::memory_order_relaxed);
-    Sum.fetch_add(V, std::memory_order_relaxed);
-    uint64_t Cur = Max.load(std::memory_order_relaxed);
-    while (Cur < V &&
-           !Max.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-      ;
-  }
-
-  /// The bucket index \p V lands in.
-  static unsigned bucketFor(uint64_t V);
-
-  /// Inclusive upper bound of bucket \p I (0 for bucket 0, 2^I - 1
-  /// otherwise; UINT64_MAX for the last bucket).
-  static uint64_t bucketUpperBound(unsigned I);
-
-  uint64_t count() const { return Count.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
-  uint64_t max() const { return Max.load(std::memory_order_relaxed); }
-  uint64_t bucketCount(unsigned I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
-
-  /// Upper bound of the bucket containing the \p P-th percentile
-  /// (0 < P <= 100) — a deterministic function of the bucket counts
-  /// alone. 0 for an empty histogram.
-  uint64_t percentileUpperBound(double P) const;
-
-  const char *name() const { return Name; }
-  const char *description() const { return Description; }
-
-private:
-  friend void reset();
-  const char *Name;
-  const char *Description;
-  std::array<std::atomic<uint64_t>, NumBuckets> Buckets{};
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Sum{0};
-  std::atomic<uint64_t> Max{0};
-};
-
-/// All histograms registered so far, in registration order.
-const std::vector<Histogram *> &histograms();
-
-/// The registered histogram named \p Name, or null.
-Histogram *findHistogram(const std::string &Name);
-
-/// RAII latency recorder: records the enclosing scope's wall time (ns)
-/// into \p H on destruction. Always on, like the histogram itself.
-class HistTimer {
-public:
-  explicit HistTimer(Histogram &H) : H(H), StartNs(monotonicNowNs()) {}
-  ~HistTimer() { H.record(monotonicNowNs() - StartNs); }
-  HistTimer(const HistTimer &) = delete;
-  HistTimer &operator=(const HistTimer &) = delete;
-
-private:
-  Histogram &H;
-  uint64_t StartNs;
-};
-
-//===----------------------------------------------------------------------===//
 // Phase timers
 //===----------------------------------------------------------------------===//
 
@@ -220,7 +129,6 @@ struct TimedEvent {
   uint64_t DurationNs; ///< Wall time inside the scope.
   uint32_t ThreadId;   ///< Dense per-process thread number.
   uint32_t Depth;      ///< Nesting depth at entry (0 = top level).
-  uint64_t Pid;        ///< Real pid of the recording process.
 };
 
 /// RAII phase timer; see file comment. Label must outlive the scope
@@ -262,31 +170,16 @@ std::vector<TimerAggregate> timerAggregates();
 void printTimerReport(std::ostream &OS);
 
 //===----------------------------------------------------------------------===//
-// Exporters
+// Trace export
 //===----------------------------------------------------------------------===//
 
-/// Writes the recorded events as Chrome trace-event JSON (the
+/// The recorded events as Chrome trace-event JSON (the
 /// {"traceEvents": [...]} object form). Each finished scope is one
 /// complete "X" event whose name is its leaf label, whose pid/tid are
-/// the real recording process and its dense thread number, and whose
-/// args carry the full path; "M" metadata events name the process and
-/// every thread. Loadable in chrome://tracing and Perfetto.
-void writeChromeTrace(std::ostream &OS);
-
-/// writeChromeTrace to a file, or to stdout when \p FilePath is "-";
-/// false (with \p Error set) when the sink cannot be written.
-bool writeChromeTraceFile(const std::string &FilePath, std::string &Error);
-
-/// Writes every counter and histogram in the Prometheus/OpenMetrics
-/// text exposition format: counters as `pira_<Name>_total`, histograms
-/// as `pira_<Name>_seconds` with cumulative `_bucket{le="..."}` lines
-/// (log2 boundaries converted to seconds), `_sum`, and `_count`,
-/// terminated by "# EOF".
-void writePrometheus(std::ostream &OS);
-
-/// writePrometheus to a file, or to stdout when \p FilePath is "-";
-/// false (with \p Error set) when the sink cannot be written.
-bool writeMetricsFile(const std::string &FilePath, std::string &Error);
+/// processId() and its dense thread number, and whose args carry the
+/// full path; "M" metadata events name the process and every thread.
+/// Loadable in chrome://tracing and Perfetto.
+json::Value chromeTraceToJson();
 
 } // namespace telemetry
 } // namespace pira
@@ -299,11 +192,6 @@ bool writeMetricsFile(const std::string &FilePath, std::string &Error);
 /// \p NAME, registered once process-wide under "NAME".
 #define PIRA_STAT(NAME, DESC)                                                  \
   static ::pira::telemetry::Counter NAME(#NAME, DESC)
-
-/// Defines (at namespace or function scope) a static log2 histogram
-/// named \p NAME, registered once process-wide under "NAME".
-#define PIRA_HIST(NAME, DESC)                                                  \
-  static ::pira::telemetry::Histogram NAME(#NAME, DESC)
 
 #define PIRA_TIME_SCOPE_CONCAT2(A, B) A##B
 #define PIRA_TIME_SCOPE_CONCAT(A, B) PIRA_TIME_SCOPE_CONCAT2(A, B)

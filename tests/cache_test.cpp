@@ -651,7 +651,6 @@ std::string reportFingerprint(const std::vector<BatchItem> &Batch,
                            Opts.Cache);
   Report.set("timers", json::Value::array());
   Report.set("counters", json::Value::object());
-  Report.set("histograms", json::Value::object());
   Report.set("cache", json::Value::object());
   return Report.toString();
 }

@@ -39,6 +39,28 @@ expect() {
   fi
 }
 
+# expect_usage <flag> -- cmd args...: a usage error (exit 2) whose
+# message names <flag>.
+expect_usage() {
+  local flag=$1
+  shift 2
+  local err got
+  err=$("$@" 2>&1 > /dev/null)
+  got=$?
+  if [ "$got" -ne 2 ] || ! printf '%s' "$err" | grep -q -- "$flag"; then
+    echo "FAIL: $flag: expected exit 2 naming it, got $got ($err): $*" >&2
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok: $flag rejected (exit 2): $*"
+  fi
+}
+
+# fail_check <label>: records a failed inline check.
+fail_check() {
+  echo "FAIL: $1" >&2
+  FAILURES=$((FAILURES + 1))
+}
+
 cat > good.pir <<'EOF'
 func @good regs 8 {
   array a 4
@@ -71,9 +93,8 @@ expect 0 "PIRA_JOBS far above the batch" -- env PIRA_JOBS=4294967295 \
 expect 0 "--deadline-ms at its maximum" -- "$PIRAC" good.pir good.pir \
                                              --deadline-ms 18446744073709551615
 expect 0 "--version"                    -- "$PIRAC" --version
-expect 0 "metrics to file"              -- "$PIRAC" good.pir good.pir --metrics-out m.prom
-expect 0 "metrics to stdout"            -- "$PIRAC" good.pir good.pir --metrics-out -
 expect 0 "stats to stdout"              -- "$PIRAC" good.pir --stats-out -
+expect 0 "trace to stdout"              -- "$PIRAC" good.pir good.pir --trace-out -
 expect 0 "progress batch"               -- "$PIRAC" good.pir good.pir --progress
 expect 0 "empty generated tournament"   -- "$PIRAC" --tournament --corpus-count 0 \
                                              --stats-out t0.json
@@ -93,18 +114,54 @@ for f in t0.json t1.json; do
 done
 
 # A stdout sink must leave stdout machine-clean: exactly one parsable
-# OpenMetrics/JSON document, no human chatter mixed in.
-if "$PIRAC" good.pir good.pir --metrics-out - 2> /dev/null | grep -q '^# EOF$' \
-   && ! "$PIRAC" good.pir good.pir --metrics-out - 2> /dev/null | grep -q 'batch of'; then
-  echo "ok: stdout metrics are machine-clean"
+# JSON document, no human chatter mixed in.
+for sink in --stats-out --trace-out; do
+  "$PIRAC" good.pir good.pir "$sink" - > sink.out 2> /dev/null
+  if python3 -m json.tool sink.out > /dev/null 2>&1 \
+     && ! grep -q 'batch of' sink.out; then
+    echo "ok: $sink - leaves stdout machine-clean"
+  else
+    fail_check "$sink - mixed human output into stdout"
+  fi
+done
+
+# --cache-dir selects the batch driver, which owns the cache, even for a
+# single input: the compile must leave an entry behind.
+"$PIRAC" good.pir --cache-dir one_dir > /dev/null 2>&1
+if ls one_dir/*.json > /dev/null 2>&1; then
+  echo "ok: a single input with --cache-dir fills the cache"
 else
-  echo "FAIL: stdout metrics mixed with human output" >&2
-  FAILURES=$((FAILURES + 1))
+  fail_check "a single input with --cache-dir left no cache entry"
 fi
 
 # --- exit 1: compile/verify failures ----------------------------------------
 expect 1 "unparsable input"             -- "$PIRAC" bad.pir
 expect 1 "unreadable input path"        -- "$PIRAC" no-such-file.pir
+
+# A lone input that never compiles still gets both reports: a
+# single-function stats report carrying its diagnostic, and a trace.
+check_failed_report() {
+  local input=$1 code=$2
+  rm -f s.json t.json
+  "$PIRAC" "$input" --stats-out s.json --trace-out t.json > /dev/null 2>&1
+  local got=$?
+  if [ "$got" -eq 1 ] && python3 - "$code" 2> /dev/null <<'PY'
+import json, sys
+s = json.load(open("s.json"))
+json.load(open("t.json"))
+p = s["pipeline"]
+assert s["schema"] == "pira.stats" and s["version"] == 8, s
+assert p["success"] is False, p
+assert p["diagnostic"]["code"] == sys.argv[1], p["diagnostic"]
+PY
+  then
+    echo "ok: failed lone input $input still writes its reports"
+  else
+    fail_check "failed lone input $input: exit $got or reports missing"
+  fi
+}
+check_failed_report bad.pir parse-error
+check_failed_report no-such-file.pir invalid-argument
 expect 1 "mixed batch still reports 1"  -- "$PIRAC" good.pir bad.pir --jobs 2
 expect 1 "budget rejection"             -- "$PIRAC" good.pir --max-instructions 1
 
@@ -132,8 +189,6 @@ expect 2 "non-numeric flag value"       -- "$PIRAC" good.pir --max-blocks banana
 expect 2 "bad fault spec"               -- "$PIRAC" good.pir --fault-inject nope
 # Only one report may claim stdout; two "-" sinks would interleave.
 expect 2 "two stdout report sinks"      -- "$PIRAC" good.pir \
-                                             --stats-out - --metrics-out -
-expect 2 "stats+trace both on stdout"   -- "$PIRAC" good.pir \
                                              --stats-out - --trace-out -
 expect 2 "cache bound without a dir"    -- "$PIRAC" good.pir good.pir \
                                              --cache-max-mb 1
@@ -147,13 +202,26 @@ expect 2 "removed flag --isolate"       -- "$PIRAC" good.pir good.pir --isolate
 expect 2 "removed flag --journal"       -- "$PIRAC" good.pir good.pir --journal x
 expect 2 "removed flag --resume"        -- "$PIRAC" good.pir good.pir --resume
 expect 2 "removed flag --worker"        -- "$PIRAC" --worker
+# So is the Prometheus textfile sink.
+expect 2 "removed flag --metrics-out"   -- "$PIRAC" good.pir good.pir \
+                                             --metrics-out m.prom
+# A flag the selected mode cannot honour is a usage error, not ignored.
+expect_usage --dump-graphs  -- "$PIRAC" good.pir good.pir --dump-graphs
+expect_usage --dump-graphs  -- "$PIRAC" good.pir --jobs 2 --dump-graphs
+expect_usage --strategy     -- "$PIRAC" --tournament --strategy combined
+expect_usage --no-degrade   -- "$PIRAC" --tournament --no-degrade
+expect_usage --progress     -- "$PIRAC" --tournament --progress
+expect_usage --dump-graphs  -- "$PIRAC" --tournament --dump-graphs
+expect_usage --cache        -- "$PIRAC" --tournament --cache on
+expect_usage --cache-dir    -- "$PIRAC" --tournament --cache-dir D
+expect_usage --cache-max-mb -- "$PIRAC" --tournament --cache-max-mb 1
 
 # --- exit 3: a report could not be written ----------------------------------
 # A stats path whose directory cannot exist fails the report write.
 expect 3 "unwritable stats path"        -- "$PIRAC" good.pir \
                                              --stats-out /no/such/dir/s.json
-expect 3 "unwritable metrics path"      -- "$PIRAC" good.pir \
-                                             --metrics-out /no/such/dir/m.prom
+expect 3 "unwritable trace path"        -- "$PIRAC" good.pir \
+                                             --trace-out /no/such/dir/t.json
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES taxonomy check(s) failed" >&2

@@ -277,7 +277,6 @@ std::string batchFingerprint(const std::vector<BatchItem> &Batch,
 
   json::Value Report = makeBatchStatsReport(BR, Batch, "combined", M);
   Report.set("timers", json::Value::array());
-  Report.set("histograms", json::Value::object());
   std::ostringstream OS;
   Report.write(OS, 0);
   for (const PipelineResult &R : BR.Results) {

@@ -542,7 +542,6 @@ std::string faultBatchFingerprint(const std::vector<BatchItem> &Batch,
   BatchResult BR = compileBatch(Batch, M, Opts);
   json::Value Report = makeBatchStatsReport(BR, Batch, "combined", M);
   Report.set("timers", json::Value::array());
-  Report.set("histograms", json::Value::object());
   std::ostringstream OS;
   Report.write(OS, 0);
   return OS.str();

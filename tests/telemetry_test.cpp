@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <thread>
 
 using namespace pira;
@@ -46,7 +45,6 @@ protected:
 
 PIRA_STAT(TestCounterA, "test-only counter A");
 PIRA_STAT(TestCounterB, "test-only counter B");
-PIRA_HIST(TestHistA, "test-only latency histogram A");
 
 TEST_F(TelemetryTest, NestedScopesProduceHierarchicalPaths) {
   {
@@ -141,17 +139,19 @@ TEST_F(TelemetryTest, ChromeTraceIsValidJsonWithCompleteEvents) {
     PIRA_TIME_SCOPE("phase/a");
     { PIRA_TIME_SCOPE("phase/b"); }
   }
-  std::ostringstream OS;
-  telemetry::writeChromeTrace(OS);
-
+  // The trace is an ordinary JSON document; it must survive the text
+  // round trip writeJsonFile puts it through.
   json::Value Root;
   std::string Error;
-  ASSERT_TRUE(json::parse(OS.str(), Root, Error)) << Error;
+  ASSERT_TRUE(json::parse(telemetry::chromeTraceToJson().toString(), Root,
+                          Error))
+      << Error;
   const json::Value *Trace = Root.find("traceEvents");
   ASSERT_NE(Trace, nullptr);
   ASSERT_TRUE(Trace->isArray());
-  // One process-name and one thread-name metadata event precede the two
-  // complete events: every span came from this process's main thread.
+  // Exactly one process-name and one thread-name metadata event precede
+  // the two complete events: every span came from this process's main
+  // thread.
   std::vector<const json::Value *> Meta, Spans;
   for (const json::Value &Ev : Trace->elements()) {
     ASSERT_TRUE(Ev.find("ph") != nullptr);
@@ -162,6 +162,8 @@ TEST_F(TelemetryTest, ChromeTraceIsValidJsonWithCompleteEvents) {
   }
   ASSERT_EQ(Meta.size(), 2u);
   EXPECT_EQ(Meta[0]->find("name")->asString(), "process_name");
+  EXPECT_EQ(Meta[0]->find("pid")->asInt(),
+            static_cast<int64_t>(telemetry::processId()));
   EXPECT_EQ(Meta[0]->find("args")->find("name")->asString(), "pirac");
   EXPECT_EQ(Meta[1]->find("name")->asString(), "thread_name");
   EXPECT_EQ(Meta[1]->find("args")->find("name")->asString(), "main");
@@ -188,117 +190,7 @@ TEST_F(TelemetryTest, ChromeTraceIsValidJsonWithCompleteEvents) {
             "phase/a/phase/b");
 }
 
-//===----------------------------------------------------------------------===//
-// Histograms
-//===----------------------------------------------------------------------===//
-
-TEST_F(TelemetryTest, HistogramBucketBoundaries) {
-  using H = telemetry::Histogram;
-  // Bucket 0 holds exactly {0}; bucket i holds [2^(i-1), 2^i).
-  EXPECT_EQ(H::bucketFor(0), 0u);
-  EXPECT_EQ(H::bucketFor(1), 1u);
-  EXPECT_EQ(H::bucketFor(2), 2u);
-  EXPECT_EQ(H::bucketFor(3), 2u);
-  EXPECT_EQ(H::bucketFor(4), 3u);
-  EXPECT_EQ(H::bucketFor(1023), 10u);
-  EXPECT_EQ(H::bucketFor(1024), 11u);
-  // The top bucket absorbs everything that would overflow the range.
-  EXPECT_EQ(H::bucketFor(UINT64_MAX), 63u);
-  // Upper bounds are inclusive and consistent with bucketFor: a value at
-  // a bucket's bound maps into that bucket, one past it does not.
-  EXPECT_EQ(H::bucketUpperBound(0), 0u);
-  EXPECT_EQ(H::bucketUpperBound(1), 1u);
-  EXPECT_EQ(H::bucketUpperBound(2), 3u);
-  EXPECT_EQ(H::bucketUpperBound(11), 2047u);
-  EXPECT_EQ(H::bucketUpperBound(63), UINT64_MAX);
-  for (unsigned I = 0; I != 20; ++I) {
-    EXPECT_EQ(H::bucketFor(H::bucketUpperBound(I)), I) << I;
-    EXPECT_EQ(H::bucketFor(H::bucketUpperBound(I) + 1), I + 1) << I;
-  }
-}
-
-TEST_F(TelemetryTest, HistogramRecordAndPercentiles) {
-  // Histograms record regardless of the trace flag, like counters.
-  telemetry::setEnabled(false);
-  for (uint64_t V : {0u, 1u, 5u, 5u, 100u, 1000u, 1000000u})
-    TestHistA.record(V);
-  EXPECT_EQ(TestHistA.count(), 7u);
-  EXPECT_EQ(TestHistA.sum(), 1001111u);
-  EXPECT_EQ(TestHistA.max(), 1000000u);
-  EXPECT_EQ(TestHistA.bucketCount(0), 1u); // the 0
-  EXPECT_EQ(TestHistA.bucketCount(3), 2u); // the 5s in [4,8)
-  // Percentiles report the bucket's inclusive upper bound.
-  EXPECT_EQ(TestHistA.percentileUpperBound(50.0),
-            telemetry::Histogram::bucketUpperBound(
-                telemetry::Histogram::bucketFor(5)));
-  EXPECT_EQ(TestHistA.percentileUpperBound(100.0),
-            telemetry::Histogram::bucketUpperBound(
-                telemetry::Histogram::bucketFor(1000000)));
-  // Registered once, findable by name, cleared by reset.
-  ASSERT_EQ(telemetry::findHistogram("TestHistA"), &TestHistA);
-  telemetry::reset();
-  EXPECT_EQ(TestHistA.count(), 0u);
-  EXPECT_EQ(TestHistA.sum(), 0u);
-  EXPECT_EQ(TestHistA.max(), 0u);
-}
-
-TEST_F(TelemetryTest, EmptyHistogramPercentilesAreZeroAndOmittedFromReports) {
-  // An empty histogram answers 0 for every percentile. The failure mode
-  // this pins down: a rank walk that never reaches its target falls off
-  // the end and reports the last bucket's upper bound — UINT64_MAX
-  // masquerading as a latency for a histogram that recorded nothing.
-  ASSERT_EQ(TestHistA.count(), 0u);
-  for (double P : {1.0, 50.0, 90.0, 99.0, 100.0})
-    EXPECT_EQ(TestHistA.percentileUpperBound(P), 0u) << "P" << P;
-
-  // The pira.stats v5 histogram block keeps count (as 0) but omits the
-  // percentile keys entirely rather than inventing values a dashboard
-  // would average in.
-  json::Value Hists = histogramsToJson();
-  const json::Value *HV = Hists.find("TestHistA");
-  ASSERT_NE(HV, nullptr);
-  EXPECT_EQ(HV->find("count")->asInt(), 0);
-  for (const char *Key : {"p50_ns", "p90_ns", "p99_ns"})
-    EXPECT_FALSE(HV->has(Key)) << "unexpected " << Key;
-
-  // One observation restores the full shape.
-  TestHistA.record(7);
-  Hists = histogramsToJson();
-  HV = Hists.find("TestHistA");
-  ASSERT_NE(HV, nullptr);
-  for (const char *Key : {"p50_ns", "p90_ns", "p99_ns"})
-    EXPECT_TRUE(HV->has(Key)) << "missing " << Key;
-  EXPECT_EQ(HV->find("p99_ns")->asInt(), 7);
-}
-
-TEST_F(TelemetryTest, PrometheusExpositionShape) {
-  TestCounterA += 5;
-  TestHistA.record(0);
-  TestHistA.record(3);
-  TestHistA.record(3000000000ull); // 3s
-  std::ostringstream OS;
-  telemetry::writePrometheus(OS);
-  std::string Text = OS.str();
-
-  EXPECT_NE(Text.find("# TYPE pira_TestCounterA_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("pira_TestCounterA_total 5\n"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE pira_TestHistA_seconds histogram\n"),
-            std::string::npos);
-  // Buckets are cumulative: the 0-bound bucket holds the zero sample,
-  // +Inf holds everything.
-  EXPECT_NE(Text.find("pira_TestHistA_seconds_bucket{le=\"0\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("pira_TestHistA_seconds_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("pira_TestHistA_seconds_count 3\n"), std::string::npos);
-  // OpenMetrics terminator, exactly at the end.
-  ASSERT_GE(Text.size(), 6u);
-  EXPECT_EQ(Text.substr(Text.size() - 6), "# EOF\n");
-}
-
-TEST_F(TelemetryTest, StatsReportCarriesProvenanceAndHistograms) {
-  TestHistA.record(42);
+TEST_F(TelemetryTest, StatsReportCarriesProvenance) {
   Function F = dotProduct(4);
   MachineModel M = MachineModel::rs6000(8);
   PipelineResult R = runAndMeasure(StrategyKind::Combined, F, M);
@@ -312,15 +204,11 @@ TEST_F(TelemetryTest, StatsReportCarriesProvenanceAndHistograms) {
   for (const char *Key : {"git_sha", "compiler", "build_type", "ndebug"})
     EXPECT_TRUE(Prov->has(Key)) << "missing provenance field " << Key;
 
-  const json::Value *Hists = Report.find("histograms");
-  ASSERT_NE(Hists, nullptr);
-  const json::Value *HV = Hists->find("TestHistA");
-  ASSERT_NE(HV, nullptr);
-  EXPECT_EQ(HV->find("count")->asInt(), 1);
-  EXPECT_EQ(HV->find("sum_ns")->asInt(), 42);
-  for (const char *Key : {"description", "max_ns", "p50_ns", "p90_ns",
-                          "p99_ns", "buckets"})
-    EXPECT_TRUE(HV->has(Key)) << "missing histogram field " << Key;
+  // v8: phase scopes are the one timing mechanism, so "timers" is the
+  // only wall-clock section and no "histograms" section remains.
+  EXPECT_EQ(Report.find("version")->asInt(), 8);
+  EXPECT_FALSE(Report.has("histograms"));
+  EXPECT_TRUE(Report.has("timers"));
 }
 
 TEST_F(TelemetryTest, StatsReportRoundTripsThroughParser) {
