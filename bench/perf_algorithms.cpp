@@ -5,10 +5,11 @@
 //
 // google-benchmark timings of the framework's building blocks against
 // block size: schedule-graph construction, transitive closure, false
-// dependence graph, PIG construction, the two coloring procedures, the
-// list scheduler, and the full combined pipeline. These back the
-// engineering claim that the construction is practical: the closure is
-// the asymptotic bottleneck at O(V^2 * V/64) bit steps.
+// dependence graph, PIG construction, the two coloring procedures (and
+// the Section 4 coloring's reference loop), the list scheduler, and the
+// full combined pipeline. These back the engineering claim that the
+// construction is practical: the closure is the asymptotic bottleneck at
+// O(V^2 * V/64) bit steps.
 //
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
@@ -160,6 +161,22 @@ void BM_PinterColor(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PinterColor)->Arg(32)->Arg(128)->Arg(512);
+
+void BM_PinterColorReference(benchmark::State &State) {
+  // The straightforward Section 4 loop pinterColor must match, on the same
+  // input: the numerator of the pinter_color_speedup_128 gate.
+  Function F = makeBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(16);
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  ParallelInterferenceGraph PIG(F, W, IG, M);
+  std::vector<double> Costs = computeSpillCosts(F, W);
+  for (auto _ : State) {
+    Allocation A = pinterColorReference(PIG, Costs, 16);
+    benchmark::DoNotOptimize(A.NumColorsUsed);
+  }
+}
+BENCHMARK(BM_PinterColorReference)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_ListScheduler(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));

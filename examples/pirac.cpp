@@ -67,7 +67,8 @@
 // "pira.tournament" v1 report, byte-identical across --jobs values.
 // Flags that only a compile honours (--strategy, --no-degrade,
 // --progress, --dump-graphs and the --cache flags) are usage errors
-// with --tournament, as --dump-graphs is in batch mode.
+// with --tournament, as --dump-graphs is in batch mode; the --corpus
+// flags are usage errors without it.
 //
 // --fault-inject (or the PIRA_FAULT environment variable) arms the
 // deterministic fault-injection harness; see support/FaultInjection.h
@@ -236,6 +237,9 @@ int main(int argc, char **argv) {
   // Flags only a compile honours, in the order given; --tournament
   // rejects them.
   std::vector<std::string> CompileOnlyFlags;
+  // Flags only --tournament honours, in the order given; a compile
+  // rejects them.
+  std::vector<std::string> TournamentOnlyFlags;
 
   // Inputs that never reach compilation: unreadable files, parse and
   // verify failures. They are reported per file, carried into the stats
@@ -377,18 +381,21 @@ int main(int argc, char **argv) {
     } else if (Arg == "--tournament") {
       Tournament = true;
     } else if (Arg == "--corpus-count") {
+      TournamentOnlyFlags.push_back(Arg);
       std::string V;
       // 0 is allowed: "run the harness over nothing" yields a valid
       // zero-row report, which scripted sweeps rely on.
       if (!NextValue(V) || !parseCliCount(Arg, V, 0, 1000000, CorpusCount))
         return 2;
     } else if (Arg == "--corpus-insts") {
+      TournamentOnlyFlags.push_back(Arg);
       std::string V;
       // At least roots + one body op + ret; capped at the oracle's
       // representation limit so a generated corpus stays comparable.
       if (!NextValue(V) || !parseCliCount(Arg, V, 3, 64, CorpusInsts))
         return 2;
     } else if (Arg == "--corpus-seed") {
+      TournamentOnlyFlags.push_back(Arg);
       std::string V;
       if (!NextValue(V) || !parseCliCount(Arg, V, 0, UINT64_MAX, CorpusSeed))
         return 2;
@@ -479,6 +486,11 @@ int main(int argc, char **argv) {
   if (Tournament && !CompileOnlyFlags.empty()) {
     std::cerr << "pirac: " << CompileOnlyFlags.front()
               << " does not apply to --tournament\n";
+    return 2;
+  }
+  if (!Tournament && !TournamentOnlyFlags.empty()) {
+    std::cerr << "pirac: " << TournamentOnlyFlags.front()
+              << " applies only to --tournament\n";
     return 2;
   }
   if (BatchMode && DumpGraphs) {

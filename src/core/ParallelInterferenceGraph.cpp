@@ -29,6 +29,12 @@ PIRA_STAT(NumPigParallelEdges, "Parallel (Ep) edges added to PIGs");
 PIRA_STAT(NumPigRegionPairs,
           "Cross-block parallel pairs found by the region extension");
 
+/// Order-free key of the web pair {\p A, \p B}.
+static uint64_t edgeKey(unsigned A, unsigned B) {
+  auto [Lo, Hi] = std::minmax(A, B);
+  return uint64_t(Lo) << 32 | Hi;
+}
+
 void ParallelInterferenceGraph::addParallelEdge(unsigned WebA, unsigned WebB,
                                                 double BenefitValue) {
   if (WebA == WebB)
@@ -36,16 +42,18 @@ void ParallelInterferenceGraph::addParallelEdge(unsigned WebA, unsigned WebB,
   ++NumPigParallelEdges;
   Parallel.addEdge(WebA, WebB);
   Combined.addEdge(WebA, WebB);
-  auto Key = std::minmax(WebA, WebB);
-  double &Slot = Benefit[{Key.first, Key.second}];
-  Slot = std::max(Slot, BenefitValue);
+  Benefits.emplace_back(edgeKey(WebA, WebB), BenefitValue);
 }
 
 double ParallelInterferenceGraph::parallelBenefit(unsigned A,
                                                   unsigned B) const {
-  auto Key = std::minmax(A, B);
-  auto It = Benefit.find({Key.first, Key.second});
-  return It == Benefit.end() ? 0.0 : It->second;
+  uint64_t Key = edgeKey(A, B);
+  auto It = std::lower_bound(
+      Benefits.begin(), Benefits.end(), Key,
+      [](const std::pair<uint64_t, double> &E, uint64_t K) {
+        return E.first < K;
+      });
+  return It == Benefits.end() || It->first != Key ? 0.0 : It->second;
 }
 
 unsigned ParallelInterferenceGraph::numParallelOnlyEdges() const {
@@ -240,9 +248,21 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
     }
   }
 
-  if (!UseRegions)
-    return;
+  if (UseRegions)
+    addRegionParallelEdges(F, W, Machine);
 
+  // Sorting (key, benefit) pairs leaves each edge's largest benefit last
+  // in its run; keep only that entry.
+  std::sort(Benefits.begin(), Benefits.end());
+  auto Last = std::unique(
+      Benefits.rbegin(), Benefits.rend(),
+      [](const std::pair<uint64_t, double> &A,
+         const std::pair<uint64_t, double> &B) { return A.first == B.first; });
+  Benefits.erase(Benefits.begin(), Last.base());
+}
+
+void ParallelInterferenceGraph::addRegionParallelEdges(
+    const Function &F, const Webs &W, const MachineModel &Machine) {
   // Global extension: Ef pairs across the blocks of each region.
   PIRA_TIME_SCOPE("pig/regions");
   RegionAnalysis RA(F);
@@ -260,7 +280,7 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
         if (!IB.hasDef())
           continue;
         if (RFD.nodes()[A].first == RFD.nodes()[B2].first)
-          continue; // intra-block pairs were handled exactly above
+          continue; // the constructor handled intra-block pairs exactly
         if (!RFD.canIssueTogether(A, B2, Machine))
           continue;
         auto [BlockA, InstA] = RFD.nodes()[A];

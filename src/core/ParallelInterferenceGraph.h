@@ -26,8 +26,9 @@
 
 #include "support/UndirectedGraph.h"
 
-#include <map>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 namespace pira {
 
@@ -72,11 +73,16 @@ public:
 
 private:
   void addParallelEdge(unsigned WebA, unsigned WebB, double Benefit);
+  void addRegionParallelEdges(const Function &F, const Webs &W,
+                              const MachineModel &Machine);
 
   UndirectedGraph Interference;
   UndirectedGraph Parallel;
   UndirectedGraph Combined;
-  std::map<std::pair<unsigned, unsigned>, double> Benefit;
+  /// (min << 32 | max, benefit) per parallel edge. The constructor appends
+  /// one entry per inducing instruction pair, then sorts by key and keeps
+  /// each edge's largest benefit.
+  std::vector<std::pair<uint64_t, double>> Benefits;
 };
 
 } // namespace pira

@@ -16,10 +16,12 @@
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
 #include "sched/PreScheduler.h"
+#include "support/BitVector.h"
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 #include "support/UndirectedGraph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <set>
@@ -51,9 +53,19 @@ public:
   /// interference edges are considered").
   unsigned interfDegree(unsigned V) const { return Interf.degree(V); }
 
-  void removeVertex(unsigned V) {
+  /// Degree counting only parallel edges (Ef \ Er and Ef ∩ Er alike).
+  unsigned parDegree(unsigned V) const { return Par.degree(V); }
+
+  bool hasParallelEdge(unsigned A, unsigned B) const {
+    return Par.hasEdge(A, B);
+  }
+
+  /// Removes \p V with all its edges. \returns its former combined
+  /// neighbors, ascending.
+  std::vector<unsigned> removeVertex(unsigned V) {
     assert(!Removed[V] && "vertex removed twice");
-    for (unsigned N : Combined.neighborList(V))
+    std::vector<unsigned> Neighbors = Combined.neighborList(V);
+    for (unsigned N : Neighbors)
       Combined.removeEdge(V, N);
     for (unsigned N : Interf.neighborList(V))
       Interf.removeEdge(V, N);
@@ -61,6 +73,7 @@ public:
       Par.removeEdge(V, N);
     Removed[V] = true;
     --Remaining;
+    return Neighbors;
   }
 
   /// Parallel-only neighbors of \p V still present.
@@ -115,6 +128,138 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
   // removed vertices' edges intact: maintain it separately.
   UndirectedGraph SelectGraph = PIG.combined();
 
+  // Present vertices of combined degree < r. Degrees only fall, so a
+  // vertex stays eligible until it is pushed; only the ends of a removed
+  // edge need re-testing.
+  BitVector Eligible(N);
+  auto Retest = [&](unsigned V) {
+    if (!Work.isRemoved(V) && Work.degree(V) < NumRegs)
+      Eligible.set(V);
+  };
+  for (unsigned V = 0; V != N; ++V)
+    Retest(V);
+  auto Remove = [&](unsigned V) {
+    Eligible.reset(V);
+    for (unsigned U : Work.removeVertex(V))
+      Retest(U);
+  };
+
+  // Ascending sweeps repeated until one pushes nothing: the next push is
+  // the first eligible vertex past the cursor, and a vertex that becomes
+  // eligible behind the cursor waits for the next pass. \returns true if
+  // anything was pushed.
+  auto Simplify = [&] {
+    int V = Eligible.findFirst();
+    if (V == -1)
+      return false;
+    while (V != -1) {
+      unsigned Pushed = static_cast<unsigned>(V);
+      Stack.push_back(Pushed);
+      Remove(Pushed);
+      V = Eligible.findNext(Pushed);
+      if (V == -1)
+        V = Eligible.findFirst();
+    }
+    return true;
+  };
+
+  // Step 3's victim: the lowest-index vertex of least combined degree
+  // among those with interference degree < r. A drop lowers only the
+  // degrees of the victim and the dropped neighbor, which keeps the
+  // victim the arg-min, so it is rescanned only after a push or a spill.
+  unsigned Victim = ~0u;
+  bool VictimStale = true;
+  // The victim's parallel-only neighbors by (benefit, index): the head
+  // still present is its least beneficial edge, first index on ties. The
+  // set only shrinks, so the list is built once per victim and consumed
+  // lazily.
+  std::vector<std::pair<double, unsigned>> Candidates;
+  unsigned CandidatesOf = ~0u;
+  size_t NextCandidate = 0;
+
+  while (Work.remaining() != 0) {
+    if (Simplify())
+      VictimStale = true;
+    if (Work.remaining() == 0)
+      break;
+
+    if (VictimStale) {
+      Victim = ~0u;
+      for (unsigned V = 0; V != N; ++V) {
+        if (Work.isRemoved(V) || Work.interfDegree(V) >= NumRegs)
+          continue;
+        if (Victim == ~0u || Work.degree(V) < Work.degree(Victim))
+          Victim = V;
+      }
+      VictimStale = false;
+    }
+    if (Victim != ~0u) {
+      if (CandidatesOf != Victim) {
+        Candidates.clear();
+        for (unsigned C : Work.parallelOnlyNeighbors(Victim))
+          Candidates.emplace_back(PIG.parallelBenefit(Victim, C), C);
+        std::sort(Candidates.begin(), Candidates.end());
+        CandidatesOf = Victim;
+        NextCandidate = 0;
+      }
+      while (!Work.hasParallelEdge(Victim, Candidates[NextCandidate].second)) {
+        ++NextCandidate;
+        assert(NextCandidate < Candidates.size() &&
+               "interference degree < combined degree implies a "
+               "parallel-only edge");
+      }
+      unsigned Best = Candidates[NextCandidate++].second;
+      Work.removeParallelEdge(Victim, Best);
+      SelectGraph.removeEdge(Victim, Best);
+      Retest(Victim);
+      Retest(Best);
+      ++Out.ParallelEdgesDropped;
+      ++NumParallelEdgesSacrificed;
+      continue;
+    }
+
+    // Step 4: spill by the generalized metric h*. Σw over the present
+    // neighbors comes from the maintained family degrees: an edge in both
+    // families weighs the sum, so Σw is a weighted sum of the two degrees.
+    unsigned Spill = ~0u;
+    double BestH = std::numeric_limits<double>::infinity();
+    for (unsigned V = 0; V != N; ++V) {
+      if (Work.isRemoved(V))
+        continue;
+      double WeightSum = Opts.InterferenceWeight * Work.interfDegree(V) +
+                         Opts.ParallelWeight * Work.parDegree(V);
+      double H = WeightSum > 0.0 ? Costs[V] / WeightSum : Costs[V];
+      if (Spill == ~0u || H < BestH) {
+        BestH = H;
+        Spill = V;
+      }
+    }
+    assert(Spill != ~0u && "no spill candidate among survivors");
+    Out.SpilledWebs.push_back(Spill);
+    Remove(Spill);
+    VictimStale = true;
+  }
+
+  if (Out.SpilledWebs.empty())
+    assignColorsGreedy(SelectGraph, Stack, Out);
+  return Out;
+}
+
+Allocation pira::pinterColorReference(const ParallelInterferenceGraph &PIG,
+                                      const std::vector<double> &Costs,
+                                      unsigned NumRegs,
+                                      const PinterOptions &Opts) {
+  unsigned N = PIG.numWebs();
+  assert(Costs.size() == N && "cost vector size mismatch");
+  Allocation Out;
+  Out.ColorOfWeb.assign(N, -1);
+
+  WorkGraphs Work(PIG);
+  std::vector<unsigned> Stack;
+  // Select must color against the graph with dropped edges gone but
+  // removed vertices' edges intact: maintain it separately.
+  UndirectedGraph SelectGraph = PIG.combined();
+
   auto Simplify = [&] {
     bool Progress = true;
     while (Progress) {
@@ -157,7 +302,6 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
       Work.removeParallelEdge(Victim, Best);
       SelectGraph.removeEdge(Victim, Best);
       ++Out.ParallelEdgesDropped;
-      ++NumParallelEdgesSacrificed;
       continue;
     }
 

@@ -77,9 +77,29 @@ struct PinterStats {
 /// One round of the Section 4 coloring procedure on a PIG. Infinite-cost
 /// vertices are never spilled. Dropped-edge count is reported in the
 /// returned Allocation::ParallelEdgesDropped.
+///
+/// Incremental: Simplify runs off a worklist of eligible vertices, step 3
+/// keeps its victim across drops until a push or a spill, and step 4
+/// takes Σw as InterferenceWeight · interference degree + ParallelWeight
+/// · parallel degree. It makes every decision pinterColorReference makes
+/// provided that formula equals the reference's ascending per-neighbor
+/// sum, which holds bit for bit whenever every partial sum is exact in a
+/// double: integer or dyadic weights of modest size, such as the 0, 1, 2
+/// and 4 that every caller in this repository uses.
 Allocation pinterColor(const ParallelInterferenceGraph &PIG,
                        const std::vector<double> &Costs, unsigned NumRegs,
                        const PinterOptions &Opts = {});
+
+/// The obviously correct form of pinterColor: a full Simplify sweep and a
+/// candidate scan after every dropped edge, and a per-neighbor Σw for
+/// every survivor on every spill. Kept as the differential-testing oracle
+/// and the speedup denominator of BM_PinterColorReference; used only by
+/// tests and bench/, never on a production path, and records no
+/// telemetry.
+Allocation pinterColorReference(const ParallelInterferenceGraph &PIG,
+                                const std::vector<double> &Costs,
+                                unsigned NumRegs,
+                                const PinterOptions &Opts = {});
 
 /// Full combined allocation of \p F onto \p NumRegs registers for
 /// \p Machine; mutates \p F (reordering, spill code, physical renaming).

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/DependenceGraph.h"
 #include "analysis/Webs.h"
 #include "core/FalseDepChecker.h"
 #include "core/FalseDependenceGraph.h"
@@ -20,10 +21,12 @@
 #include "regalloc/ChaitinAllocator.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/InterferenceGraph.h"
+#include "sched/EPTimes.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace pira;
@@ -327,6 +330,41 @@ TEST(PigTest, ParallelBenefitPositiveOnParallelEdges) {
   EXPECT_EQ(PIG.parallelBenefit(0, 0), 0.0);
 }
 
+TEST(PigTest, ParallelBenefitIsLargestOverInducingPairs) {
+  // Several instruction pairs can induce one web pair; the edge keeps the
+  // largest summed critical-path height among them, in either argument
+  // order, and non-parallel pairs weigh nothing.
+  MachineModel M = MachineModel::rs6000();
+  for (const auto &[Name, F] : standardKernelSuite()) {
+    Webs W(F);
+    InterferenceGraph IG(F, W);
+    ParallelInterferenceGraph PIG(F, W, IG, M);
+    std::map<std::pair<unsigned, unsigned>, double> Expected;
+    for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
+      DependenceGraph Gs(F, B, M);
+      FalseDependenceGraph FDG(F, B, Gs, M);
+      std::vector<unsigned> Height = computeHeights(Gs);
+      for (const auto &[U, V] : FDG.parallelPairs().edgeList()) {
+        if (!F.block(B).inst(U).hasDef() || !F.block(B).inst(V).hasDef())
+          continue;
+        unsigned WebU = W.webOfDef(B, U);
+        unsigned WebV = W.webOfDef(B, V);
+        if (WebU == WebV)
+          continue;
+        double &Slot = Expected[std::minmax(WebU, WebV)];
+        Slot = std::max(Slot, static_cast<double>(Height[U] + Height[V]));
+      }
+    }
+    for (unsigned A = 0, E = PIG.numWebs(); A != E; ++A)
+      for (unsigned B = 0; B != E; ++B) {
+        auto It = Expected.find(std::minmax(A, B));
+        double Want = It == Expected.end() ? 0.0 : It->second;
+        EXPECT_EQ(PIG.parallelBenefit(A, B), Want)
+            << Name << " webs " << A << ", " << B;
+      }
+  }
+}
+
 TEST(PigTest, ScalarMachinePigEqualsInterferenceGraph) {
   // Degenerate case: no parallelism to protect, combined == Gr, so the
   // framework collapses to classic Chaitin.
@@ -398,14 +436,9 @@ TEST(PinterColorTest, NeverDropsLemma3Edges) {
 }
 
 TEST(PinterColorTest, ZeroParallelWeightDegeneratesToClassicH) {
-  // With WParallel = 0 and no parallel edges, h* == cost/degree.
-  UndirectedGraph G(4);
-  for (unsigned I = 0; I != 4; ++I)
-    for (unsigned J = I + 1; J != 4; ++J)
-      G.addEdge(I, J);
-  // Build a PIG-like wrapper through a function with that conflict
-  // structure is heavyweight; instead check chaitinColor and pinterColor
-  // agree on Example 2 under a scalar machine (PIG == Gr there).
+  // With WParallel = 0 and no parallel edges, h* == cost/degree: check
+  // chaitinColor and pinterColor agree on Example 2 under a scalar
+  // machine (PIG == Gr there).
   Function F = paperExample2();
   Webs W(F);
   InterferenceGraph IG(F, W);
@@ -413,7 +446,7 @@ TEST(PinterColorTest, ZeroParallelWeightDegeneratesToClassicH) {
   std::vector<double> Costs = computeSpillCosts(F, W);
   PinterOptions Opts;
   Opts.ParallelWeight = 0.0;
-  Allocation A = pinterColor(PIG, Costs, 2);
+  Allocation A = pinterColor(PIG, Costs, 2, Opts);
   Allocation C = chaitinColor(IG.graph(), Costs, 2);
   EXPECT_EQ(A.SpilledWebs, C.SpilledWebs);
 }

@@ -18,12 +18,21 @@
 #include "core/FalseDepChecker.h"
 #include "core/ParallelInterferenceGraph.h"
 #include "core/PinterAllocator.h"
+#include "core/RegionHoist.h"
 #include "machine/MachineModel.h"
+#include "pipeline/Tournament.h"
 #include "regalloc/ChaitinAllocator.h"
 #include "regalloc/InterferenceGraph.h"
+#include "regalloc/SpillCost.h"
+#include "regalloc/SpillInserter.h"
+#include "sched/PreScheduler.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <set>
+#include <string>
 
 using namespace pira;
 
@@ -150,4 +159,132 @@ TEST(DifferentialOracle, ChaitinIntroducesFalseDependencesSomewhere) {
       << "the baseline never introduced a false dependence across 200 "
          "programs; the differential corpus has lost its discriminating "
          "power";
+}
+
+//===----------------------------------------------------------------------===//
+// Incremental Section 4 coloring against its reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Decisions seen while following inputs through their spill rounds; the
+/// totals keep the comparison from passing vacuously.
+struct ColoringTally {
+  unsigned Colorings = 0;
+  unsigned Drops = 0;
+  unsigned Spills = 0;
+};
+
+/// Follows \p F through pinterAllocate's rounds on \p M with \p NumRegs
+/// registers (region hoist and EP reordering once, then color, insert
+/// spill code, repeat) and checks at every round that pinterColor
+/// returns exactly the Allocation of pinterColorReference.
+void expectSameColoringEveryRound(Function F, const MachineModel &M,
+                                  unsigned NumRegs, const PinterOptions &Opts,
+                                  const std::string &What,
+                                  ColoringTally &Tally) {
+  SCOPED_TRACE(What + " r=" + std::to_string(NumRegs) + " weights (" +
+               std::to_string(Opts.InterferenceWeight) + ", " +
+               std::to_string(Opts.ParallelWeight) + ")" +
+               (Opts.UseRegions ? " regions" : ""));
+  if (Opts.UseRegions)
+    regionHoist(F);
+  preScheduleFunction(F, M);
+  std::set<Reg> NoSpillRegs;
+  for (unsigned Round = 0; Round != Opts.MaxRounds; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    Webs W(F);
+    InterferenceGraph IG(F, W);
+    ParallelInterferenceGraph PIG(F, W, IG, M, Opts.UseRegions);
+    std::vector<double> Costs = computeSpillCosts(F, W);
+    for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
+      if (NoSpillRegs.count(W.webRegister(Web)))
+        Costs[Web] = std::numeric_limits<double>::infinity();
+
+    Allocation Fast = pinterColor(PIG, Costs, NumRegs, Opts);
+    Allocation Ref = pinterColorReference(PIG, Costs, NumRegs, Opts);
+    ++Tally.Colorings;
+    Tally.Drops += Ref.ParallelEdgesDropped;
+    Tally.Spills += static_cast<unsigned>(Ref.SpilledWebs.size());
+    EXPECT_EQ(Fast.ColorOfWeb, Ref.ColorOfWeb);
+    EXPECT_EQ(Fast.NumColorsUsed, Ref.NumColorsUsed);
+    EXPECT_EQ(Fast.SpilledWebs, Ref.SpilledWebs);
+    EXPECT_EQ(Fast.ParallelEdgesDropped, Ref.ParallelEdgesDropped);
+    if (testing::Test::HasFailure() || Ref.fullyColored())
+      return;
+    insertSpillCode(F, W, Ref.SpilledWebs, NoSpillRegs);
+  }
+}
+
+/// register_sweep's register counts, plus the perf benchmarks' 16.
+const unsigned SweepRegs[] = {3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16};
+
+/// h* weights: the default, classic h, the ablation's heavy-parallel
+/// setting, and a dyadic pair whose partial sums are still exact.
+const std::pair<double, double> WeightSets[] = {
+    {1.0, 1.0}, {1.0, 0.0}, {1.0, 4.0}, {0.5, 1.5}};
+
+class IncrementalColoring : public testing::TestWithParam<unsigned> {
+protected:
+  PinterOptions options() const {
+    PinterOptions Opts;
+    Opts.InterferenceWeight = WeightSets[GetParam()].first;
+    Opts.ParallelWeight = WeightSets[GetParam()].second;
+    return Opts;
+  }
+};
+
+} // namespace
+
+TEST_P(IncrementalColoring, MatchesReferenceOnCorpus) {
+  ColoringTally Tally;
+  for (unsigned I = 0; I != 200; ++I) {
+    PinterOptions Opts = options();
+    // Every other program also takes the region extension, whose
+    // cross-block edges all weigh 1.0 and so exercise step 3's ties.
+    Opts.UseRegions = I % 2 == 1;
+    Function F = corpusProgram(I);
+    MachineModel M = corpusMachine(I);
+    for (unsigned R : SweepRegs)
+      expectSameColoringEveryRound(F, M, R, Opts,
+                                   "corpus program " + std::to_string(I),
+                                   Tally);
+  }
+  EXPECT_GT(Tally.Drops, 0u);
+  EXPECT_GT(Tally.Spills, 0u);
+}
+
+TEST_P(IncrementalColoring, MatchesReferenceOnTournamentCorpus) {
+  TournamentOptions TOpts;
+  std::vector<BatchItem> Corpus = makeTournamentCorpus(200, 12, 7, TOpts);
+  ColoringTally Tally;
+  for (unsigned I = 0; I != Corpus.size(); ++I)
+    for (unsigned R : SweepRegs)
+      expectSameColoringEveryRound(Corpus[I].Input, corpusMachine(I), R,
+                                   options(), Corpus[I].Name, Tally);
+  EXPECT_GT(Tally.Drops, 0u);
+  EXPECT_GT(Tally.Spills, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Weights, IncrementalColoring,
+                         testing::Range(0u, 4u));
+
+// The perf benchmarks' straight-line blocks at the ladder's sizes, on the
+// ladder's machine: hundreds of webs and tens of thousands of drops per
+// round, where the incremental bookkeeping has the most to get wrong.
+TEST(IncrementalColoringBlocks, MatchesReferenceOnStraightLineBlocks) {
+  ColoringTally Tally;
+  for (unsigned Insts : {32u, 64u, 128u}) {
+    RandomProgramOptions Gen;
+    Gen.InstructionsPerBlock = Insts - 3;
+    Gen.Seed = 4242;
+    Gen.FloatPercent = 40;
+    Gen.MemoryPercent = 25;
+    expectSameColoringEveryRound(generateRandomProgram(Gen),
+                                 MachineModel::rs6000(12), 12, {},
+                                 std::to_string(Insts) + "-inst block",
+                                 Tally);
+  }
+  EXPECT_GT(Tally.Drops, 1000u);
+  EXPECT_GT(Tally.Spills, 0u);
 }

@@ -215,6 +215,9 @@ expect_usage --dump-graphs  -- "$PIRAC" --tournament --dump-graphs
 expect_usage --cache        -- "$PIRAC" --tournament --cache on
 expect_usage --cache-dir    -- "$PIRAC" --tournament --cache-dir D
 expect_usage --cache-max-mb -- "$PIRAC" --tournament --cache-max-mb 1
+expect_usage --corpus-count -- "$PIRAC" good.pir --corpus-count 5
+expect_usage --corpus-insts -- "$PIRAC" good.pir --corpus-insts 8
+expect_usage --corpus-seed  -- "$PIRAC" --corpus-seed 3
 
 # --- exit 3: a report could not be written ----------------------------------
 # A stats path whose directory cannot exist fails the report write.

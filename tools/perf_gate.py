@@ -4,11 +4,12 @@
 Compares a fresh BENCH_perf_algorithms.json against a committed baseline
 and fails (exit 1) when a gated metric regresses by more than the
 threshold. The primary gates are *ratios between benchmarks from the
-same run* — the set-based-closure / bitset-closure speedup and the
-cold / warm-cache batch speedup — because a ratio divides out the
-machine: a slow CI runner slows both numerator and denominator, while a
-real regression (say the bitset closure losing its word-parallel inner
-loop) collapses the ratio no matter the host.
+same run* — the set-based-closure / bitset-closure speedup, the
+cold / warm-cache batch speedup and the reference / incremental
+Section 4 coloring speedup — because a ratio divides out the machine: a
+slow CI runner slows both numerator and denominator, while a real
+regression (say the bitset closure losing its word-parallel inner loop)
+collapses the ratio no matter the host.
 
 Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
@@ -32,15 +33,19 @@ RATIO_GATES = [
      "BM_TransitiveClosureUnreduced/1024", "BM_TransitiveClosure/1024"),
     ("warm_cache_speedup",
      "BM_CompileBatch/1/real_time", "BM_CompileBatchWarmCache/real_time"),
+    ("pinter_color_speedup_128",
+     "BM_PinterColorReference/128", "BM_PinterColor/128"),
 ]
 
 # Hard floors on the *fresh* ratio itself, enforced in addition to the
 # baseline-relative threshold. These encode standing acceptance criteria
 # (the DAG reduction must keep beating plain Warshall by 2x at
-# 1k-instruction blocks) so a slowly drifting committed baseline cannot
-# ratchet a requirement away.
+# 1k-instruction blocks; incremental Section 4 coloring must keep beating
+# its reference loop by 10x at 128 instructions) so a slowly drifting
+# committed baseline cannot ratchet a requirement away.
 RATIO_FLOORS = {
     "closure_reduction_speedup_1024": 2.0,
+    "pinter_color_speedup_128": 10.0,
 }
 
 
