@@ -38,6 +38,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 using namespace pira;
 
 namespace {
@@ -216,11 +219,8 @@ void BM_Oracle(benchmark::State &State) {
 }
 BENCHMARK(BM_Oracle)->Arg(8)->Arg(12)->Arg(16);
 
-void BM_CompileBatch(benchmark::State &State) {
-  // 24 functions through the combined pipeline, sharded across
-  // State.range(0) workers. Serial-vs-parallel wall clock for the batch
-  // driver; on a single-core host all arms degenerate to the Jobs=1 time
-  // (the determinism guarantee makes the outputs identical either way).
+/// The 24 functions of the batch benchmarks.
+std::vector<BatchItem> makeBatch() {
   std::vector<BatchItem> Batch;
   for (unsigned I = 0; I != 24; ++I) {
     RandomProgramOptions Opts;
@@ -230,6 +230,16 @@ void BM_CompileBatch(benchmark::State &State) {
     Opts.Seed = pira::bench::benchSeed(4242) + I;
     Batch.push_back({"f" + std::to_string(I), generateRandomProgram(Opts)});
   }
+  return Batch;
+}
+
+void BM_CompileBatch(benchmark::State &State) {
+  // 24 functions through the combined pipeline, sharded across
+  // State.range(0) workers. Serial-vs-parallel wall clock for
+  // compileBatch; on a single-core host all arms degenerate to the Jobs=1
+  // time (the determinism guarantee makes the outputs identical either
+  // way).
+  std::vector<BatchItem> Batch = makeBatch();
   MachineModel M = MachineModel::rs6000(12);
   BatchOptions Opts;
   Opts.Jobs = static_cast<unsigned>(State.range(0));
@@ -244,18 +254,10 @@ BENCHMARK(BM_CompileBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 void BM_CompileBatchWarmCache(benchmark::State &State) {
   // The same 24-function batch through a pre-filled compilation cache:
   // every item is a memory-tier hit, so the timed loop measures key
-  // computation + entry decode instead of compilation. The ratio to
-  // BM_CompileBatch/1 is the warm-cache speedup recorded in
-  // EXPERIMENTS.md.
-  std::vector<BatchItem> Batch;
-  for (unsigned I = 0; I != 24; ++I) {
-    RandomProgramOptions Opts;
-    Opts.InstructionsPerBlock = 40;
-    Opts.FloatPercent = 40;
-    Opts.MemoryPercent = 25;
-    Opts.Seed = pira::bench::benchSeed(4242) + I;
-    Batch.push_back({"f" + std::to_string(I), generateRandomProgram(Opts)});
-  }
+  // computation + lookup + entry decode + compileBatch's own bookkeeping
+  // instead of compilation. The ratio to BM_CompileBatch/1 is the
+  // warm-cache speedup recorded in EXPERIMENTS.md.
+  std::vector<BatchItem> Batch = makeBatch();
   MachineModel M = MachineModel::rs6000(12);
   CompilationCache Cache(CacheMode::On);
   BatchOptions Opts;
@@ -270,6 +272,25 @@ void BM_CompileBatchWarmCache(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CompileBatchWarmCache)->UseRealTime();
+
+void BM_CacheKey(benchmark::State &State) {
+  // Key computation alone for the warm-cache batch: the part of a hit
+  // that does not depend on the cache. Its ratio to
+  // BM_CompileBatchWarmCache is the CI gate's share of the hit path spent
+  // hashing; it falls when lookup, decode or compileBatch slow down, and
+  // does not move when compiles get faster.
+  std::vector<BatchItem> Batch = makeBatch();
+  MachineModel M = MachineModel::rs6000(12);
+  BatchOptions Opts;
+  Opts.Jobs = 1;
+  Opts.Measure = false;
+  for (auto _ : State)
+    for (const BatchItem &Item : Batch) {
+      std::string Key = computeCacheKey(Item.Input, M, Opts);
+      benchmark::DoNotOptimize(Key.data());
+    }
+}
+BENCHMARK(BM_CacheKey)->UseRealTime();
 
 /// Forwards to the console reporter while collecting every run into a
 /// "pira.bench" JSON document written at exit.

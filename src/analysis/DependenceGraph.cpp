@@ -12,8 +12,8 @@
 #include "support/Telemetry.h"
 #include "transforms/DagReduce.h"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
 
 using namespace pira;
 
@@ -44,7 +44,8 @@ const char *pira::depKindName(DepKind Kind) {
 }
 
 namespace {
-constexpr unsigned NoEdge = ~0u;
+/// Sentinel for an absent edge, position or chain link.
+constexpr unsigned NoIndex = ~0u;
 } // namespace
 
 void DependenceGraph::addEdge(unsigned From, unsigned To, DepKind Kind,
@@ -54,7 +55,7 @@ void DependenceGraph::addEdge(unsigned From, unsigned To, DepKind Kind,
   if (Adjacent.test(From, To)) {
     // Keep the strongest (largest latency) constraint for duplicates. The
     // per-From chain makes this a walk over From's edges only.
-    for (unsigned EI = FirstFrom[From]; EI != NoEdge; EI = NextFrom[EI]) {
+    for (unsigned EI = FirstFrom[From]; EI != NoIndex; EI = NextFrom[EI]) {
       DepEdge &E = Edges[EI];
       if (E.To == To) {
         if (E.Latency < Latency)
@@ -138,14 +139,35 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
                                  const MachineModel &Machine) {
   const BasicBlock &BB = F.block(BlockIdx);
   NumNodes = BB.size();
-  FirstFrom.assign(NumNodes, NoEdge);
+  FirstFrom.assign(NumNodes, NoIndex);
   Adjacent = BitMatrix(NumNodes);
 
-  // LastDef[R] / readers since that def, for register dependences. These
-  // track *positions*, so the same construction serves symbolic code (no
+  // Register tables indexed by register id, sized by the largest register
+  // this block names. LastDef[R] is the position of R's latest def, and
+  // R's readers since that def form a chain through NextReader, from
+  // FirstReader[R] to LastReader[R] in program order. These track
+  // *positions*, so the same construction serves symbolic code (no
   // redefinition, hence no anti/output edges) and allocated code.
-  std::map<Reg, unsigned> LastDef;
-  std::map<Reg, std::vector<unsigned>> ReadersSinceDef;
+  unsigned NumRegSlots = 0;
+  unsigned NumUses = 0;
+  for (const Instruction &Inst : BB.instructions()) {
+    for (Reg U : Inst.uses()) {
+      assert(U != NoReg && "operand names no register");
+      NumRegSlots = std::max(NumRegSlots, U + 1);
+    }
+    NumUses += static_cast<unsigned>(Inst.uses().size());
+    if (Inst.hasDef()) {
+      assert(Inst.def() != NoReg && "def names no register");
+      NumRegSlots = std::max(NumRegSlots, Inst.def() + 1);
+    }
+  }
+  std::vector<unsigned> LastDef(NumRegSlots, NoIndex);
+  std::vector<unsigned> FirstReader(NumRegSlots, NoIndex);
+  std::vector<unsigned> LastReader(NumRegSlots, NoIndex);
+  std::vector<unsigned> Reader;
+  std::vector<unsigned> NextReader;
+  Reader.reserve(NumUses);
+  NextReader.reserve(NumUses);
   std::vector<unsigned> MemOps;
 
   for (unsigned I = 0; I != NumNodes; ++I) {
@@ -153,29 +175,34 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
 
     // Flow dependences: latest prior def of each used register.
     for (Reg U : Inst.uses()) {
-      auto It = LastDef.find(U);
-      if (It != LastDef.end()) {
-        const Instruction &Producer = BB.inst(It->second);
-        addEdge(It->second, I, DepKind::Flow,
+      if (LastDef[U] != NoIndex) {
+        const Instruction &Producer = BB.inst(LastDef[U]);
+        addEdge(LastDef[U], I, DepKind::Flow,
                 Machine.latency(Producer.opcode()));
       }
-      ReadersSinceDef[U].push_back(I);
+      unsigned Slot = static_cast<unsigned>(Reader.size());
+      Reader.push_back(I);
+      NextReader.push_back(NoIndex);
+      if (LastReader[U] == NoIndex)
+        FirstReader[U] = Slot;
+      else
+        NextReader[LastReader[U]] = Slot;
+      LastReader[U] = Slot;
     }
 
     if (Inst.hasDef()) {
       Reg D = Inst.def();
       // Output dependence on the previous def of D.
-      auto It = LastDef.find(D);
-      if (It != LastDef.end())
-        addEdge(It->second, I, DepKind::Output, 1);
+      if (LastDef[D] != NoIndex)
+        addEdge(LastDef[D], I, DepKind::Output, 1);
       // Anti dependences from readers of the previous value of D. Zero
       // latency: a superscalar reads operands before writing results, so
       // reader and overwriter may share a cycle.
-      for (unsigned Reader : ReadersSinceDef[D])
-        if (Reader != I)
-          addEdge(Reader, I, DepKind::Anti, 0);
+      for (unsigned S = FirstReader[D]; S != NoIndex; S = NextReader[S])
+        if (Reader[S] != I)
+          addEdge(Reader[S], I, DepKind::Anti, 0);
       LastDef[D] = I;
-      ReadersSinceDef[D].clear();
+      FirstReader[D] = LastReader[D] = NoIndex;
     }
 
     // Memory ordering: any prior memory op that may touch the same slot,

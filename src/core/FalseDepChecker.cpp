@@ -15,16 +15,15 @@
 
 using namespace pira;
 
-std::vector<FalseDep>
-pira::findFalseDependences(const Function &Symbolic,
-                           const Function &Allocated,
-                           const MachineModel &Machine) {
+FalseDepReport pira::analyzeFalseDependences(const Function &Symbolic,
+                                             const Function &Allocated,
+                                             const MachineModel &Machine) {
   assert(!Symbolic.isAllocated() && Allocated.isAllocated() &&
          "arguments swapped");
   assert(Symbolic.numBlocks() == Allocated.numBlocks() &&
          "functions do not correspond");
 
-  std::vector<FalseDep> Result;
+  FalseDepReport Report;
   for (unsigned B = 0, NB = Symbolic.numBlocks(); B != NB; ++B) {
     assert(Symbolic.block(B).size() == Allocated.block(B).size() &&
            "allocation must preserve instruction positions");
@@ -34,28 +33,31 @@ pira::findFalseDependences(const Function &Symbolic,
       // Only register reuse creates new edges; flow/memory/control edges
       // exist identically in the symbolic graph. Anti edges never forbid
       // same-cycle issue (reads precede writes), so only output edges
-      // can be false — see the header comment.
-      if (E.Kind != DepKind::Output)
+      // can be false — see the header comment. An anti edge inside Ef
+      // still costs one ordering.
+      if (E.Kind != DepKind::Output && E.Kind != DepKind::Anti)
         continue;
-      if (FDG.canIssueTogether(E.From, E.To))
-        Result.push_back({B, E.From, E.To, E.Kind});
+      if (!FDG.canIssueTogether(E.From, E.To))
+        continue;
+      if (E.Kind == DepKind::Output)
+        Report.FalseDeps.push_back({B, E.From, E.To, E.Kind});
+      else
+        ++Report.AntiOrderingLosses;
     }
   }
-  return Result;
+  return Report;
+}
+
+std::vector<FalseDep>
+pira::findFalseDependences(const Function &Symbolic,
+                           const Function &Allocated,
+                           const MachineModel &Machine) {
+  return analyzeFalseDependences(Symbolic, Allocated, Machine).FalseDeps;
 }
 
 unsigned pira::countAntiOrderingLosses(const Function &Symbolic,
                                        const Function &Allocated,
                                        const MachineModel &Machine) {
-  assert(Symbolic.numBlocks() == Allocated.numBlocks() &&
-         "functions do not correspond");
-  unsigned Count = 0;
-  for (unsigned B = 0, NB = Symbolic.numBlocks(); B != NB; ++B) {
-    FalseDependenceGraph FDG(Symbolic, B, Machine);
-    DependenceGraph After(Allocated, B, Machine);
-    for (const DepEdge &E : After.edges())
-      if (E.Kind == DepKind::Anti && FDG.canIssueTogether(E.From, E.To))
-        ++Count;
-  }
-  return Count;
+  return analyzeFalseDependences(Symbolic, Allocated, Machine)
+      .AntiOrderingLosses;
 }

@@ -35,10 +35,25 @@ struct FalseDep {
   DepKind Kind;  ///< Output (see below for why anti edges are excluded).
 };
 
+/// Both Lemma 1 results of one allocated function.
+struct FalseDepReport {
+  /// Output edges whose endpoints are in Ef, block by block (see
+  /// findFalseDependences).
+  std::vector<FalseDep> FalseDeps;
+  /// Anti edges whose endpoints are in Ef (see countAntiOrderingLosses).
+  unsigned AntiOrderingLosses = 0;
+};
+
 /// Compares \p Allocated against its pre-allocation twin \p Symbolic
 /// (same blocks, same instruction positions — allocation is a pure
-/// operand renaming) and returns every false dependence edge, block by
-/// block.
+/// operand renaming) in one pass: per block it builds the symbolic Gf and
+/// the allocated schedule graph once and classifies each allocated edge.
+FalseDepReport analyzeFalseDependences(const Function &Symbolic,
+                                       const Function &Allocated,
+                                       const MachineModel &Machine);
+
+/// Returns every false dependence edge of \p Allocated, block by block:
+/// analyzeFalseDependences(...).FalseDeps.
 ///
 /// Allocation introduces anti and output register dependences. Only
 /// output dependences can forbid scheduling two instructions *together*
@@ -57,8 +72,9 @@ std::vector<FalseDep> findFalseDependences(const Function &Symbolic,
 /// Count of scheduling orderings lost to anti edges: anti dependences in
 /// \p Allocated whose endpoints could symbolically issue in the same
 /// cycle. Not false dependences (co-issue survives), but they do forbid
-/// issuing the writer strictly before the reader; reported separately so
-/// benchmarks can show the full picture.
+/// issuing the writer strictly before the reader; reported apart from
+/// them so benchmarks can show the full picture:
+/// analyzeFalseDependences(...).AntiOrderingLosses.
 unsigned countAntiOrderingLosses(const Function &Symbolic,
                                  const Function &Allocated,
                                  const MachineModel &Machine);

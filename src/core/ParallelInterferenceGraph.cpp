@@ -48,12 +48,11 @@ void ParallelInterferenceGraph::addParallelEdge(unsigned WebA, unsigned WebB,
 double ParallelInterferenceGraph::parallelBenefit(unsigned A,
                                                   unsigned B) const {
   uint64_t Key = edgeKey(A, B);
+  std::span<const BenefitEntry> Row = benefitRow(std::min(A, B));
   auto It = std::lower_bound(
-      Benefits.begin(), Benefits.end(), Key,
-      [](const std::pair<uint64_t, double> &E, uint64_t K) {
-        return E.first < K;
-      });
-  return It == Benefits.end() || It->first != Key ? 0.0 : It->second;
+      Row.begin(), Row.end(), Key,
+      [](const BenefitEntry &E, uint64_t K) { return E.first < K; });
+  return It == Row.end() || It->first != Key ? 0.0 : It->second;
 }
 
 unsigned ParallelInterferenceGraph::numParallelOnlyEdges() const {
@@ -227,24 +226,30 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
   PIRA_TIME_SCOPE("pig/build");
   assert(!F.isAllocated() && "the PIG is built over symbolic code");
   unsigned NumWebs = W.numWebs();
-  Interference = UndirectedGraph(NumWebs);
+  assert(IG.graph().numVertices() == NumWebs && "web count mismatch");
+  Interference = IG.graph();
   Parallel = UndirectedGraph(NumWebs);
-  Combined = UndirectedGraph(NumWebs);
+  Combined = IG.graph();
 
-  Interference.unionWith(IG.graph());
-  Combined.unionWith(IG.graph());
-
-  // Block-level Ef pairs between defining instructions, mapped to webs.
+  // Block-level Ef pairs between defining instructions, mapped to webs,
+  // in the lexicographic order of the Ef rows.
   for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
     DependenceGraph Gs(F, B, Machine);
     FalseDependenceGraph FDG(F, B, Gs, Machine);
     std::vector<unsigned> Height = computeHeights(Gs);
     const BasicBlock &BB = F.block(B);
-    for (const auto &[U, V] : FDG.parallelPairs().edgeList()) {
-      if (!BB.inst(U).hasDef() || !BB.inst(V).hasDef())
+    for (unsigned U = 0, NI = BB.size(); U != NI; ++U) {
+      if (!BB.inst(U).hasDef())
         continue;
-      addParallelEdge(W.webOfDef(B, U), W.webOfDef(B, V),
-                      static_cast<double>(Height[U] + Height[V]));
+      const BitVector &Row = FDG.parallelPairs().neighbors(U);
+      for (int Next = Row.findNext(U); Next != -1;
+           Next = Row.findNext(static_cast<unsigned>(Next))) {
+        unsigned V = static_cast<unsigned>(Next);
+        if (!BB.inst(V).hasDef())
+          continue;
+        addParallelEdge(W.webOfDef(B, U), W.webOfDef(B, V),
+                        static_cast<double>(Height[U] + Height[V]));
+      }
     }
   }
 
@@ -254,11 +259,17 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
   // Sorting (key, benefit) pairs leaves each edge's largest benefit last
   // in its run; keep only that entry.
   std::sort(Benefits.begin(), Benefits.end());
-  auto Last = std::unique(
-      Benefits.rbegin(), Benefits.rend(),
-      [](const std::pair<uint64_t, double> &A,
-         const std::pair<uint64_t, double> &B) { return A.first == B.first; });
+  auto Last = std::unique(Benefits.rbegin(), Benefits.rend(),
+                          [](const BenefitEntry &A, const BenefitEntry &B) {
+                            return A.first == B.first;
+                          });
   Benefits.erase(Benefits.begin(), Last.base());
+
+  RowStart.assign(NumWebs + 1, 0);
+  for (const BenefitEntry &E : Benefits)
+    ++RowStart[(E.first >> 32) + 1];
+  for (unsigned V = 0; V != NumWebs; ++V)
+    RowStart[V + 1] += RowStart[V];
 }
 
 void ParallelInterferenceGraph::addRegionParallelEdges(

@@ -27,6 +27,7 @@
 #include "support/UndirectedGraph.h"
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,22 @@ public:
   /// under register pressure. Zero for non-parallel edges.
   double parallelBenefit(unsigned A, unsigned B) const;
 
+  /// One entry of the benefit store: the edge {min, max} packed as
+  /// min << 32 | max, and its benefit.
+  using BenefitEntry = std::pair<uint64_t, double>;
+
+  /// The parallel edges {\p V, C} with C > \p V, ascending in C, with
+  /// their benefits (the store's row of \p V). Edges to lower-numbered
+  /// webs live in those webs' rows.
+  std::span<const BenefitEntry> benefitRow(unsigned V) const {
+    return {Benefits.data() + RowStart[V], RowStart[V + 1] - RowStart[V]};
+  }
+
+  /// Returns the web at the far end of a benefitRow() entry.
+  static unsigned rowNeighbor(const BenefitEntry &E) {
+    return static_cast<unsigned>(E.first);
+  }
+
   /// Number of parallel edges that are not interference edges.
   unsigned numParallelOnlyEdges() const;
 
@@ -79,10 +96,12 @@ private:
   UndirectedGraph Interference;
   UndirectedGraph Parallel;
   UndirectedGraph Combined;
-  /// (min << 32 | max, benefit) per parallel edge. The constructor appends
-  /// one entry per inducing instruction pair, then sorts by key and keeps
-  /// each edge's largest benefit.
-  std::vector<std::pair<uint64_t, double>> Benefits;
+  /// One entry per parallel edge. The constructor appends one entry per
+  /// inducing instruction pair, then sorts by key and keeps each edge's
+  /// largest benefit, so the entries fall into rows by min endpoint.
+  std::vector<BenefitEntry> Benefits;
+  /// Benefits[RowStart[V], RowStart[V + 1]) is the row of web V.
+  std::vector<unsigned> RowStart;
 };
 
 } // namespace pira

@@ -85,6 +85,28 @@ public:
     return Result;
   }
 
+  /// Appends to \p Out the (benefit, index) pair of each parallel-only
+  /// neighbor of \p V still present, ascending by index. Neighbors above
+  /// \p V come from \p V's own benefit row; each one below is a search in
+  /// that neighbor's row.
+  void appendParallelOnlyBenefits(
+      unsigned V, const ParallelInterferenceGraph &PIG,
+      std::vector<std::pair<double, unsigned>> &Out) const {
+    const BitVector &Row = Par.neighbors(V);
+    for (int Next = Row.findFirst();
+         Next != -1 && static_cast<unsigned>(Next) < V;
+         Next = Row.findNext(static_cast<unsigned>(Next))) {
+      unsigned C = static_cast<unsigned>(Next);
+      if (!Interf.hasEdge(V, C))
+        Out.emplace_back(PIG.parallelBenefit(C, V), C);
+    }
+    for (const auto &E : PIG.benefitRow(V)) {
+      unsigned C = ParallelInterferenceGraph::rowNeighbor(E);
+      if (Par.hasEdge(V, C) && !Interf.hasEdge(V, C))
+        Out.emplace_back(E.second, C);
+    }
+  }
+
   void removeParallelEdge(unsigned A, unsigned B) {
     assert(!Interf.hasEdge(A, B) && "never drop an Ef ∩ Er edge");
     Par.removeEdge(A, B);
@@ -196,8 +218,7 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
     if (Victim != ~0u) {
       if (CandidatesOf != Victim) {
         Candidates.clear();
-        for (unsigned C : Work.parallelOnlyNeighbors(Victim))
-          Candidates.emplace_back(PIG.parallelBenefit(Victim, C), C);
+        Work.appendParallelOnlyBenefits(Victim, PIG, Candidates);
         std::sort(Candidates.begin(), Candidates.end());
         CandidatesOf = Victim;
         NextCandidate = 0;

@@ -152,10 +152,10 @@ static void finishPipeline(PipelineResult &R, const MachineModel &Machine,
   R.StaticCycles = R.Sched.totalMakespan();
   {
     PIRA_TIME_SCOPE("analysis/falsedeps");
-    R.FalseDeps = static_cast<unsigned>(
-        findFalseDependences(R.SymbolicTwin, R.Final, Machine).size());
-    R.AntiOrderingLosses =
-        countAntiOrderingLosses(R.SymbolicTwin, R.Final, Machine);
+    FalseDepReport Lemma1 =
+        analyzeFalseDependences(R.SymbolicTwin, R.Final, Machine);
+    R.FalseDeps = static_cast<unsigned>(Lemma1.FalseDeps.size());
+    R.AntiOrderingLosses = Lemma1.AntiOrderingLosses;
   }
 }
 

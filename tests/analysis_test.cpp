@@ -12,11 +12,16 @@
 #include "analysis/Webs.h"
 #include "ir/IRBuilder.h"
 #include "machine/MachineModel.h"
+#include "pipeline/Strategies.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 using namespace pira;
 
@@ -198,6 +203,102 @@ TEST(DependenceGraphTest, FlowLatencyTracksMachine) {
       Found = true;
     }
   EXPECT_TRUE(Found);
+}
+
+namespace {
+
+using EdgeSequence =
+    std::vector<std::tuple<unsigned, unsigned, DepKind, unsigned>>;
+
+/// Returns edges() of block \p B of \p F as (From, To, Kind, Latency), in
+/// insertion order.
+EdgeSequence edgeSequence(const Function &F, unsigned B,
+                          const MachineModel &M) {
+  DependenceGraph G(F, B, M);
+  EdgeSequence Out;
+  for (const DepEdge &E : G.edges())
+    Out.emplace_back(E.From, E.To, E.Kind, E.Latency);
+  return Out;
+}
+
+/// Returns \p F with every register r renamed to 1000 * r + 7.
+Function spreadRegisters(Function F) {
+  for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B)
+    for (Instruction &I : F.block(B).instructions()) {
+      if (I.hasDef())
+        I.setDef(1000 * I.def() + 7);
+      for (unsigned U = 0, NU = static_cast<unsigned>(I.uses().size());
+           U != NU; ++U)
+        I.setUse(U, 1000 * I.uses()[U] + 7);
+    }
+  F.setNumRegs(1000 * F.numRegs() + 7);
+  return F;
+}
+
+/// Expects every block of \p F to give the same edge sequence before and
+/// after spreadRegisters.
+void expectRenamingInvariant(const std::string &Name, const Function &F,
+                             const MachineModel &M) {
+  Function Spread = spreadRegisters(F);
+  for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B)
+    EXPECT_EQ(edgeSequence(Spread, B, M), edgeSequence(F, B, M))
+        << Name << " block " << B;
+}
+
+} // namespace
+
+TEST(DependenceGraphTest, EdgesAreInvariantUnderRegisterRenaming) {
+  // The register tables are indexed by register id; only the identity of
+  // registers may matter, never their numbering. Symbolic code and the
+  // allocated code of a phase-ordered strategy (which carries anti and
+  // output edges) both count.
+  MachineModel M = MachineModel::rs6000(8);
+  auto Check = [&](const std::string &Name, const Function &F) {
+    expectRenamingInvariant(Name, F, M);
+    PipelineResult R = runStrategy(StrategyKind::AllocFirst, F, M);
+    ASSERT_TRUE(R.Success) << Name;
+    expectRenamingInvariant(Name + " allocated", R.Final, M);
+  };
+  for (const auto &[Name, F] : standardKernelSuite())
+    Check(Name, F);
+  static const CfgShape Shapes[] = {CfgShape::Straight, CfgShape::Diamond,
+                                    CfgShape::Loop, CfgShape::NestedDiamond,
+                                    CfgShape::DoubleLoop};
+  for (unsigned I = 0; I != 40; ++I) {
+    RandomProgramOptions Opts;
+    Opts.Shape = Shapes[I % 5];
+    Opts.InstructionsPerBlock = 10 + I % 7;
+    Opts.FloatPercent = 20 + (I * 13) % 60;
+    Opts.MemoryPercent = 10 + (I * 7) % 30;
+    Opts.Seed = 1 + I * 104729;
+    Check("corpus " + std::to_string(I), generateRandomProgram(Opts));
+  }
+}
+
+TEST(DependenceGraphTest, RegisterTablesAreSizedByTheBlock) {
+  // r0 = li; rH = add r0,r0; r0 = li; rH = add r0,rH; ret rH. With
+  // H = 1 << 20 the block names registers {0, 1 << 20} only; its tables
+  // must come from those, and its edges must match the H = 1 block's.
+  auto Block = [](Reg High) {
+    Function F("t");
+    F.setNumRegs(High + 1);
+    F.setAllocated(true);
+    F.addBlock("e");
+    F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
+    F.block(0).append(Instruction(Opcode::Add, High, {0, 0}));
+    F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 2));
+    F.block(0).append(Instruction(Opcode::Add, High, {0, High}));
+    F.block(0).append(Instruction(Opcode::Ret, NoReg, {High}));
+    return F;
+  };
+  MachineModel M = MachineModel::scalar();
+  EdgeSequence Dense = edgeSequence(Block(1), 0, M);
+  EXPECT_EQ(edgeSequence(Block(1u << 20), 0, M), Dense);
+  DependenceGraph G(Block(1u << 20), 0, M);
+  EXPECT_TRUE(hasEdgeOfKind(G, 0, 2, DepKind::Output));
+  EXPECT_TRUE(hasEdgeOfKind(G, 1, 2, DepKind::Anti));
+  EXPECT_TRUE(hasEdgeOfKind(G, 1, 3, DepKind::Flow));
+  EXPECT_TRUE(hasEdgeOfKind(G, 2, 3, DepKind::Flow));
 }
 
 //===----------------------------------------------------------------------===//

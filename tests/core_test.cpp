@@ -23,11 +23,13 @@
 #include "regalloc/InterferenceGraph.h"
 #include "sched/EPTimes.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 
 using namespace pira;
 
@@ -330,38 +332,77 @@ TEST(PigTest, ParallelBenefitPositiveOnParallelEdges) {
   EXPECT_EQ(PIG.parallelBenefit(0, 0), 0.0);
 }
 
+namespace {
+
+/// Checks the PIG benefit store of \p F against a std::map oracle rebuilt
+/// from the block FDGs: every web pair's parallelBenefit, and every row of
+/// the row index.
+void expectBenefitStoreMatchesFdgs(const std::string &Name, const Function &F,
+                                   const MachineModel &M) {
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  ParallelInterferenceGraph PIG(F, W, IG, M);
+  std::map<std::pair<unsigned, unsigned>, double> Expected;
+  for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
+    DependenceGraph Gs(F, B, M);
+    FalseDependenceGraph FDG(F, B, Gs, M);
+    std::vector<unsigned> Height = computeHeights(Gs);
+    for (const auto &[U, V] : FDG.parallelPairs().edgeList()) {
+      if (!F.block(B).inst(U).hasDef() || !F.block(B).inst(V).hasDef())
+        continue;
+      unsigned WebU = W.webOfDef(B, U);
+      unsigned WebV = W.webOfDef(B, V);
+      if (WebU == WebV)
+        continue;
+      double &Slot = Expected[std::minmax(WebU, WebV)];
+      Slot = std::max(Slot, static_cast<double>(Height[U] + Height[V]));
+    }
+  }
+  for (unsigned A = 0, E = PIG.numWebs(); A != E; ++A)
+    for (unsigned B = 0; B != E; ++B) {
+      auto It = Expected.find(std::minmax(A, B));
+      double Want = It == Expected.end() ? 0.0 : It->second;
+      EXPECT_EQ(PIG.parallelBenefit(A, B), Want)
+          << Name << " webs " << A << ", " << B;
+    }
+  // Row V lists exactly the parallel neighbors C > V, ascending, each
+  // with its benefit.
+  for (unsigned V = 0, E = PIG.numWebs(); V != E; ++V) {
+    std::vector<std::pair<unsigned, double>> Want;
+    for (auto It = Expected.lower_bound({V, 0});
+         It != Expected.end() && It->first.first == V; ++It)
+      Want.emplace_back(It->first.second, It->second);
+    std::vector<std::pair<unsigned, double>> Got;
+    for (const auto &Entry : PIG.benefitRow(V)) {
+      unsigned C = ParallelInterferenceGraph::rowNeighbor(Entry);
+      Got.emplace_back(C, Entry.second);
+      EXPECT_EQ(Entry.second, PIG.parallelBenefit(V, C))
+          << Name << " webs " << V << ", " << C;
+    }
+    EXPECT_EQ(Got, Want) << Name << " row " << V;
+  }
+}
+
+} // namespace
+
 TEST(PigTest, ParallelBenefitIsLargestOverInducingPairs) {
   // Several instruction pairs can induce one web pair; the edge keeps the
   // largest summed critical-path height among them, in either argument
-  // order, and non-parallel pairs weigh nothing.
-  MachineModel M = MachineModel::rs6000();
-  for (const auto &[Name, F] : standardKernelSuite()) {
-    Webs W(F);
-    InterferenceGraph IG(F, W);
-    ParallelInterferenceGraph PIG(F, W, IG, M);
-    std::map<std::pair<unsigned, unsigned>, double> Expected;
-    for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
-      DependenceGraph Gs(F, B, M);
-      FalseDependenceGraph FDG(F, B, Gs, M);
-      std::vector<unsigned> Height = computeHeights(Gs);
-      for (const auto &[U, V] : FDG.parallelPairs().edgeList()) {
-        if (!F.block(B).inst(U).hasDef() || !F.block(B).inst(V).hasDef())
-          continue;
-        unsigned WebU = W.webOfDef(B, U);
-        unsigned WebV = W.webOfDef(B, V);
-        if (WebU == WebV)
-          continue;
-        double &Slot = Expected[std::minmax(WebU, WebV)];
-        Slot = std::max(Slot, static_cast<double>(Height[U] + Height[V]));
-      }
-    }
-    for (unsigned A = 0, E = PIG.numWebs(); A != E; ++A)
-      for (unsigned B = 0; B != E; ++B) {
-        auto It = Expected.find(std::minmax(A, B));
-        double Want = It == Expected.end() ? 0.0 : It->second;
-        EXPECT_EQ(PIG.parallelBenefit(A, B), Want)
-            << Name << " webs " << A << ", " << B;
-      }
+  // order, and non-parallel pairs weigh nothing. The row index splits the
+  // store by lower endpoint.
+  for (const auto &[Name, F] : standardKernelSuite())
+    expectBenefitStoreMatchesFdgs(Name, F, MachineModel::rs6000());
+  for (unsigned Size : {32u, 64u}) {
+    // Straight-line blocks of exactly Size instructions, as in the
+    // perf_algorithms ladder.
+    RandomProgramOptions Opts;
+    Opts.InstructionsPerBlock = Size - 3;
+    Opts.FloatPercent = 40;
+    Opts.MemoryPercent = 25;
+    Opts.Seed = 4242;
+    expectBenefitStoreMatchesFdgs("ladder/" + std::to_string(Size),
+                                  generateRandomProgram(Opts),
+                                  MachineModel::rs6000(12));
   }
 }
 

@@ -14,12 +14,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/DependenceGraph.h"
 #include "analysis/Webs.h"
 #include "core/FalseDepChecker.h"
+#include "core/FalseDependenceGraph.h"
 #include "core/ParallelInterferenceGraph.h"
 #include "core/PinterAllocator.h"
 #include "core/RegionHoist.h"
 #include "machine/MachineModel.h"
+#include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
 #include "regalloc/ChaitinAllocator.h"
 #include "regalloc/InterferenceGraph.h"
@@ -33,6 +36,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 
 using namespace pira;
 
@@ -288,3 +292,91 @@ TEST(IncrementalColoringBlocks, MatchesReferenceOnStraightLineBlocks) {
   EXPECT_GT(Tally.Drops, 1000u);
   EXPECT_GT(Tally.Spills, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// One-pass Lemma 1 check against a two-pass reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The Lemma 1 check as two loops over each block's allocated edges:
+/// output edges in Ef are false dependences, then anti edges in Ef are
+/// lost orderings.
+FalseDepReport twoPassReference(const Function &Symbolic,
+                                const Function &Allocated,
+                                const MachineModel &M) {
+  FalseDepReport Out;
+  for (unsigned B = 0, NB = Symbolic.numBlocks(); B != NB; ++B) {
+    FalseDependenceGraph FDG(Symbolic, B, M);
+    DependenceGraph After(Allocated, B, M);
+    for (const DepEdge &E : After.edges())
+      if (E.Kind == DepKind::Output && FDG.canIssueTogether(E.From, E.To))
+        Out.FalseDeps.push_back({B, E.From, E.To, E.Kind});
+    for (const DepEdge &E : After.edges())
+      if (E.Kind == DepKind::Anti && FDG.canIssueTogether(E.From, E.To))
+        ++Out.AntiOrderingLosses;
+  }
+  return Out;
+}
+
+/// Registers tight enough that every strategy reuses registers across
+/// co-issuable instructions somewhere in the corpus.
+constexpr unsigned TightRegs = 6;
+
+MachineModel tightMachine(unsigned Which) {
+  switch (Which) {
+  case 0:
+    return MachineModel::paperTwoUnit(TightRegs);
+  case 1:
+    return MachineModel::rs6000(TightRegs);
+  default:
+    return MachineModel::vliw4(TightRegs);
+  }
+}
+
+class OnePassFalseDeps
+    : public testing::TestWithParam<std::tuple<StrategyKind, unsigned>> {};
+
+} // namespace
+
+TEST_P(OnePassFalseDeps, MatchesTwoPassReferenceOnCorpus) {
+  auto [Kind, Which] = GetParam();
+  MachineModel M = tightMachine(Which);
+  unsigned Compared = 0;
+  unsigned FalseDeps = 0;
+  unsigned AntiLosses = 0;
+  for (unsigned I = 0; I != 200; ++I) {
+    PipelineResult R = runStrategy(Kind, corpusProgram(I), M);
+    if (!R.Success)
+      continue;
+    ++Compared;
+    FalseDepReport Got = analyzeFalseDependences(R.SymbolicTwin, R.Final, M);
+    FalseDepReport Want = twoPassReference(R.SymbolicTwin, R.Final, M);
+    ASSERT_EQ(Got.FalseDeps.size(), Want.FalseDeps.size()) << "program " << I;
+    for (size_t J = 0; J != Want.FalseDeps.size(); ++J) {
+      const FalseDep &G = Got.FalseDeps[J];
+      const FalseDep &W = Want.FalseDeps[J];
+      EXPECT_EQ(G.Block, W.Block) << "program " << I << " entry " << J;
+      EXPECT_EQ(G.From, W.From) << "program " << I << " entry " << J;
+      EXPECT_EQ(G.To, W.To) << "program " << I << " entry " << J;
+      EXPECT_EQ(G.Kind, W.Kind) << "program " << I << " entry " << J;
+    }
+    EXPECT_EQ(Got.AntiOrderingLosses, Want.AntiOrderingLosses)
+        << "program " << I;
+    FalseDeps += static_cast<unsigned>(Want.FalseDeps.size());
+    AntiLosses += Want.AntiOrderingLosses;
+  }
+  EXPECT_GE(Compared, 190u);
+  EXPECT_GT(AntiLosses, 0u);
+  if (Kind != StrategyKind::Combined) {
+    EXPECT_GT(FalseDeps, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, OnePassFalseDeps,
+    testing::Combine(testing::Values(StrategyKind::Combined,
+                                     StrategyKind::IntegratedPrepass,
+                                     StrategyKind::SchedFirst,
+                                     StrategyKind::AllocFirst),
+                     testing::Range(0u, 3u)));
