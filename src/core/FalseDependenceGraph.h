@@ -24,12 +24,13 @@
 
 namespace pira {
 
+class BasicBlock;
 class DependenceGraph;
 class Function;
 class MachineModel;
 
-/// Gf for one basic block, along with the constraint set Et it derives
-/// from.
+/// Gf for one basic block. Only Ef is stored; the constraint set Et it
+/// derives from is its complement, rebuilt on demand.
 class FalseDependenceGraph {
 public:
   /// Builds Gf for block \p BlockIdx of \p F (which must be in symbolic
@@ -56,21 +57,22 @@ public:
   const UndirectedGraph &parallelPairs() const { return ParallelPairs; }
 
   /// The constraint set Et: undirected closure edges plus machine
-  /// constraint pairs. complement(Et) == Ef by construction.
-  const UndirectedGraph &constraints() const { return Constraints; }
-
-  /// Constraint pairs that came from machine contention rather than
-  /// precedence (useful for rendering the paper's figures).
-  const UndirectedGraph &machinePairs() const { return MachinePairs; }
+  /// constraint pairs, computed as the off-diagonal complement of Ef.
+  UndirectedGraph constraints() const;
 
 private:
   void build(const Function &F, unsigned BlockIdx,
              const DependenceGraph &Gs, const MachineModel &Machine);
 
-  UndirectedGraph Constraints;   // Et
-  UndirectedGraph MachinePairs;  // machine-contention subset of Et
   UndirectedGraph ParallelPairs; // Ef
 };
+
+/// The non-precedence machine constraints of \p BB: pairs contending for
+/// a unit class with a single unit (the paper's explicit rule; multiple
+/// units of one class are left to the scheduler per footnote 3), or every
+/// pair on a single-issue machine. Symmetric with a zero diagonal.
+BitMatrix machineConstraintPairs(const BasicBlock &BB,
+                                 const MachineModel &Machine);
 
 } // namespace pira
 

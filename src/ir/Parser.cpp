@@ -11,6 +11,8 @@
 #include "support/FaultInjection.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -30,8 +32,9 @@ enum class TokKind {
 
 struct Token {
   TokKind Kind = TokKind::End;
-  std::string Text;   // identifier spelling or punct char
-  int64_t Value = 0;  // integer value / register number
+  std::string Text;        // spelling (an integer's only when out of range)
+  int64_t Value = 0;       // integer value / register number
+  bool OutOfRange = false; // the number does not fit in Value
   bool PhysicalReg = false;
   unsigned Line = 1;
 };
@@ -80,6 +83,7 @@ private:
   Token lexReg() {
     Token T;
     T.Line = Line;
+    size_t TokStart = Pos;
     ++Pos; // consume '%'
     if (Pos < Text.size() && (Text[Pos] == 's' || Text[Pos] == 'r')) {
       T.PhysicalReg = Text[Pos] == 'r';
@@ -95,8 +99,7 @@ private:
       T.Text = "%";
       return T;
     }
-    T.Value = std::stoll(std::string(Text.substr(Start, Pos - Start)));
-    return T;
+    return number(T, TokStart, Start);
   }
 
   Token lexInt() {
@@ -114,7 +117,17 @@ private:
       T.Text = "-";
       return T;
     }
-    T.Value = std::stoll(std::string(Text.substr(Start, Pos - Start)));
+    return number(T, Start, Start);
+  }
+
+  /// Finishes \p T with the value of the literal in [\p ValueStart, Pos),
+  /// or marks it OutOfRange, spelled [\p TokStart, Pos), when it overflows.
+  Token number(Token T, size_t TokStart, size_t ValueStart) {
+    const char *First = Text.data() + ValueStart;
+    const char *Last = Text.data() + Pos;
+    T.OutOfRange = std::from_chars(First, Last, T.Value).ec != std::errc();
+    if (T.OutOfRange || T.Kind == TokKind::Reg)
+      T.Text = std::string(Text.substr(TokStart, Pos - TokStart));
     return T;
   }
 
@@ -187,6 +200,8 @@ private:
   bool parseInt(int64_t &Out) {
     if (Tok.Kind != TokKind::Integer)
       return fail("expected integer");
+    if (Tok.OutOfRange)
+      return fail("integer '" + Tok.Text + "' is out of range");
     Out = Tok.Value;
     advance();
     return true;
@@ -195,6 +210,10 @@ private:
   bool parseReg(Reg &Out) {
     if (Tok.Kind != TokKind::Reg)
       return fail("expected register");
+    // NoReg is the "no register" sentinel, so the largest usable number
+    // is one below it.
+    if (Tok.OutOfRange || Tok.Value >= static_cast<int64_t>(NoReg))
+      return fail("register '" + Tok.Text + "' is out of range");
     if (!SawAnyReg && !HeaderPhysical) {
       Physical = Tok.PhysicalReg;
       F.setAllocated(Physical);
@@ -225,8 +244,9 @@ private:
     advance();
     if (!expectIdent("regs"))
       return false;
+    // Registers are numbered below NoReg, so at most NoReg of them exist.
     int64_t Regs = 0;
-    if (!parseInt(Regs) || Regs < 0)
+    if (!parseInt(Regs) || Regs < 0 || Regs > static_cast<int64_t>(NoReg))
       return fail("bad register count");
     DeclaredRegs = static_cast<unsigned>(Regs);
     if (Tok.Kind == TokKind::Ident && Tok.Text == "physical") {
@@ -242,8 +262,10 @@ private:
     advance(); // 'array'
     std::string Name;
     int64_t Size = 0;
-    if (!parseName(Name) || !parseInt(Size) || Size < 0)
+    if (!parseName(Name) || !parseInt(Size))
       return false;
+    if (Size < 0 || Size > std::numeric_limits<unsigned>::max())
+      return fail("bad array size");
     F.declareArray(Name, static_cast<unsigned>(Size));
     return true;
   }

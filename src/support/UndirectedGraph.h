@@ -122,13 +122,6 @@ public:
     return Result;
   }
 
-  /// Merges edges of \p RHS into this graph (vertex counts must match).
-  void unionWith(const UndirectedGraph &RHS) {
-    assert(numVertices() == RHS.numVertices() && "vertex count mismatch");
-    for (const auto &[A, B] : RHS.edgeList())
-      addEdge(A, B);
-  }
-
 private:
   BitMatrix Adjacency;
   std::vector<unsigned> Degrees;

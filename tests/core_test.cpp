@@ -67,11 +67,12 @@ TEST(Example1Test, Figure2b_EtEdges) {
 
 TEST(Example1Test, Figure2b_MachineConstraintPairs) {
   Function F = paperExample1();
-  FalseDependenceGraph FDG(F, 0, MachineModel::paperTwoUnit());
+  UndirectedGraph MachinePairs = UndirectedGraph::fromSymmetric(
+      machineConstraintPairs(F.block(0), MachineModel::paperTwoUnit()));
   // Exactly the paper's two machine-dependent constraints:
   // {s1,s3} (loads) and {s4,s5} (fixed-point ops).
   EdgeSet Expected = {{0, 2}, {3, 4}};
-  EXPECT_EQ(edgesBelow(FDG.machinePairs(), 5), Expected);
+  EXPECT_EQ(edgesBelow(MachinePairs, 5), Expected);
 }
 
 TEST(Example1Test, Figure2b_FalseDependencePairs) {
@@ -281,11 +282,11 @@ TEST(Example2Test, Figure5_PaperAssignmentLegalInPig) {
 TEST(FalseDependenceGraphTest, ComplementIsExact) {
   Function F = paperExample2();
   FalseDependenceGraph FDG(F, 0, MachineModel::paperTwoUnit());
+  UndirectedGraph Et = FDG.constraints();
   unsigned N = FDG.size();
   for (unsigned U = 0; U != N; ++U)
     for (unsigned V = U + 1; V != N; ++V)
-      EXPECT_NE(FDG.constraints().hasEdge(U, V),
-                FDG.parallelPairs().hasEdge(U, V))
+      EXPECT_NE(Et.hasEdge(U, V), FDG.parallelPairs().hasEdge(U, V))
           << "pair " << U << "," << V;
 }
 

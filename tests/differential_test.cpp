@@ -29,11 +29,13 @@
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
 #include "sched/PreScheduler.h"
+#include "workloads/Kernels.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -380,3 +382,103 @@ INSTANTIATE_TEST_SUITE_P(
                                      StrategyKind::SchedFirst,
                                      StrategyKind::AllocFirst),
                      testing::Range(0u, 3u)));
+
+//===----------------------------------------------------------------------===//
+// Section 3 on the schedule that ships: co-issued pairs are in Ef
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Co-issued instruction pairs of shipped schedules, by the reason each
+/// pair may share a cycle.
+struct CoIssueTally {
+  unsigned InEf = 0;        ///< {u, v} in Ef: Lemma 1 read forwards.
+  unsigned Terminator = 0;  ///< Zero-latency control edge into the branch.
+  unsigned Anti = 0;        ///< Zero-latency anti edge (read, then rewrite).
+  unsigned Unexplained = 0; ///< None of the above.
+};
+
+/// Classifies every pair that shares a cycle in \p R's combined schedule
+/// against the symbolic twin's Gf and schedule graph. Et is built from
+/// the closure, so it also holds the pairs whose only constraint is a
+/// direct zero-latency edge; those are counted by the edge's kind.
+void tallyCoIssues(const PipelineResult &R, const MachineModel &M,
+                   const std::string &What, CoIssueTally &T) {
+  const Function &Sym = R.SymbolicTwin;
+  ASSERT_EQ(R.Sched.Blocks.size(), Sym.numBlocks()) << What;
+  for (unsigned B = 0, NB = Sym.numBlocks(); B != NB; ++B) {
+    DependenceGraph Gs(Sym, B, M);
+    FalseDependenceGraph FDG(Sym, B, Gs, M);
+    ASSERT_EQ(R.Sched.Blocks[B].CycleOf.size(), Gs.size()) << What;
+    for (const std::vector<unsigned> &Group :
+         R.Sched.Blocks[B].groupsByCycle())
+      for (size_t I = 0; I != Group.size(); ++I)
+        for (size_t J = I + 1; J != Group.size(); ++J) {
+          unsigned U = Group[I], V = Group[J];
+          if (FDG.canIssueTogether(U, V)) {
+            ++T.InEf;
+            continue;
+          }
+          std::optional<DepKind> Kind;
+          for (unsigned EI : Gs.succEdges(U)) {
+            const DepEdge &E = Gs.edges()[EI];
+            if (E.To == V && E.Latency == 0) {
+              Kind = E.Kind;
+              break;
+            }
+          }
+          if (Kind == DepKind::Control) {
+            ++T.Terminator;
+          } else if (Kind == DepKind::Anti) {
+            ++T.Anti;
+          } else {
+            ++T.Unexplained;
+            ADD_FAILURE() << What << " block " << B << ": s" << U
+                          << " and s" << V
+                          << " share a cycle but are neither in Ef nor "
+                             "joined by a zero-latency control or anti edge";
+          }
+        }
+  }
+}
+
+void expectEveryClassSeen(const CoIssueTally &T) {
+  EXPECT_EQ(T.Unexplained, 0u);
+  EXPECT_GT(T.InEf, 0u);
+  EXPECT_GT(T.Terminator, 0u);
+  EXPECT_GT(T.Anti, 0u);
+}
+
+} // namespace
+
+TEST(ShippedScheduleCoIssue, KernelsOnEveryMachine) {
+  CoIssueTally T;
+  for (const auto &[Name, Kernel] : standardKernelSuite())
+    for (unsigned Regs : {16u, TightRegs})
+      for (const MachineModel &M :
+           {MachineModel::paperTwoUnit(Regs), MachineModel::rs6000(Regs),
+            MachineModel::vliw4(Regs)}) {
+        PipelineResult R = runStrategy(StrategyKind::Combined, Kernel, M);
+        ASSERT_TRUE(R.Success) << Name << " on " << M.name() << ": "
+                               << R.Error;
+        tallyCoIssues(R, M, Name + " on " + M.name(), T);
+      }
+  expectEveryClassSeen(T);
+}
+
+TEST(ShippedScheduleCoIssue, CorpusAtAmpleAndTightRegisters) {
+  CoIssueTally T;
+  unsigned Checked = 0;
+  for (unsigned I = 0; I != 200; ++I) {
+    Function F = corpusProgram(I);
+    for (const MachineModel &M : {corpusMachine(I), tightMachine(I % 3)}) {
+      PipelineResult R = runStrategy(StrategyKind::Combined, F, M);
+      if (!R.Success)
+        continue;
+      ++Checked;
+      tallyCoIssues(R, M, "program " + std::to_string(I), T);
+    }
+  }
+  EXPECT_GE(Checked, 390u);
+  expectEveryClassSeen(T);
+}

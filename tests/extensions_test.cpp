@@ -3,20 +3,16 @@
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
 //
-// Covers the Goodman-Hsu integrated prepass scheduler, the augmented
-// parallelizable interference graph, the extended kernel suite, parser
-// fuzzing via generated programs, and cross-analysis consistency
-// invariants.
+// Covers the Goodman-Hsu integrated prepass scheduler, the extended
+// kernel suite, parser fuzzing via generated programs, and
+// cross-analysis consistency invariants.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
 #include "analysis/Webs.h"
-#include "core/AugmentedPig.h"
-#include "core/FalseDependenceGraph.h"
 #include "core/PinterAllocator.h"
-#include "core/PigScheduler.h"
 #include "core/RegionHoist.h"
 #include "ir/IRBuilder.h"
 #include "ir/Interpreter.h"
@@ -101,56 +97,6 @@ TEST(IpsTest, StrategyRunsEndToEnd) {
 TEST(IpsTest, NameIsStable) {
   EXPECT_STREQ(strategyName(StrategyKind::IntegratedPrepass),
                "goodman-hsu-ips");
-}
-
-//===----------------------------------------------------------------------===//
-// Augmented parallelizable interference graph
-//===----------------------------------------------------------------------===//
-
-TEST(AugmentedPigTest, CoversAllInstructionsIncludingStores) {
-  Function F = saxpy(1);
-  Webs W(F);
-  AugmentedPig APig(F, 1, W, MachineModel::paperTwoUnit());
-  EXPECT_EQ(APig.size(), F.block(1).size());
-}
-
-TEST(AugmentedPigTest, CoIssueEdgesMatchFalseDependenceGraph) {
-  Function F = paperExample2();
-  Webs W(F);
-  MachineModel M = MachineModel::paperTwoUnit();
-  AugmentedPig APig(F, 0, W, M);
-  FalseDependenceGraph FDG(F, 0, M);
-  EXPECT_EQ(APig.coIssuePairs().edgeList(),
-            FDG.parallelPairs().edgeList());
-}
-
-TEST(AugmentedPigTest, AvailableListsMatchPaperText) {
-  // "at each node v the edges {v,u} provide the list of available
-  // instructions (with v)": for s8 of Example 2 that list is s1..s5.
-  Function F = paperExample2();
-  Webs W(F);
-  AugmentedPig APig(F, 0, W, MachineModel::paperTwoUnit());
-  std::vector<unsigned> Avail = APig.availableWith(7);
-  EXPECT_EQ(Avail, (std::vector<unsigned>{0, 1, 2, 3, 4}));
-}
-
-TEST(AugmentedPigTest, OverlapEdgesProjectInterference) {
-  Function F = paperExample2();
-  Webs W(F);
-  AugmentedPig APig(F, 0, W, MachineModel::paperTwoUnit());
-  InterferenceGraph IG(F, W);
-  for (const auto &[I, J] : APig.overlapPairs().edgeList())
-    EXPECT_TRUE(IG.interfere(W.webOfDef(0, I), W.webOfDef(0, J)))
-        << I << "," << J;
-}
-
-TEST(AugmentedPigTest, FullGraphIsUnion) {
-  Function F = livermoreHydro(1);
-  Webs W(F);
-  AugmentedPig APig(F, 1, W, MachineModel::rs6000());
-  for (const auto &[A, B] : APig.graph().edgeList())
-    EXPECT_TRUE(APig.coIssuePairs().hasEdge(A, B) ||
-                APig.overlapPairs().hasEdge(A, B));
 }
 
 //===----------------------------------------------------------------------===//
@@ -654,76 +600,4 @@ TEST(RegionHoistTest, WideningTheWindowHelpsStraightLineCycles) {
   }
   EXPECT_GT(Better, 0u) << "hoisting should win somewhere";
   EXPECT_GE(Better, Worse);
-}
-
-//===----------------------------------------------------------------------===//
-// Augmented-PIG-driven list scheduler
-//===----------------------------------------------------------------------===//
-
-TEST(PigSchedulerTest, LegalOnAllKernelsAndMachines) {
-  for (auto &[Name, Kernel] : standardKernelSuite())
-    for (MachineModel M : {MachineModel::paperTwoUnit(),
-                           MachineModel::rs6000(), MachineModel::vliw4()}) {
-      FunctionSchedule S = scheduleFunctionWithPig(Kernel, M);
-      for (unsigned B = 0; B != Kernel.numBlocks(); ++B) {
-        DependenceGraph G(Kernel, B, M);
-        ASSERT_EQ(S.Blocks[B].CycleOf.size(), G.size()) << Name;
-        for (const DepEdge &E : G.edges())
-          EXPECT_GE(S.Blocks[B].CycleOf[E.To],
-                    S.Blocks[B].CycleOf[E.From] + E.Latency)
-              << Name << "/" << M.name();
-      }
-    }
-}
-
-TEST(PigSchedulerTest, CoIssuedPairsAreAlwaysEfAdjacent) {
-  Function F = paperExample2();
-  MachineModel M = MachineModel::paperTwoUnit();
-  FunctionSchedule S = scheduleFunctionWithPig(F, M);
-  FalseDependenceGraph FDG(F, 0, M);
-  auto Groups = S.Blocks[0].groupsByCycle();
-  for (const auto &Group : Groups)
-    for (size_t I = 0; I != Group.size(); ++I)
-      for (size_t J = I + 1; J != Group.size(); ++J)
-        EXPECT_TRUE(FDG.canIssueTogether(Group[I], Group[J]))
-            << Group[I] << "," << Group[J];
-}
-
-TEST(PigSchedulerTest, MatchesStandardSchedulerOnPaperExamples) {
-  // For the computation proper the Ef filter encodes the same co-issue
-  // relation as the resource counters. The one principled difference is
-  // the terminator: Et derives from the transitive closure, so *any*
-  // predecessor of the branch counts as not-co-issuable, while the
-  // standard scheduler lets work share the branch's cycle through the
-  // latency-0 control edge. Hence: identical spans over non-terminator
-  // instructions, at most one extra cycle for the branch itself.
-  for (Function F : {paperExample1(), paperExample2()}) {
-    MachineModel M = MachineModel::paperTwoUnit();
-    FunctionSchedule Standard = scheduleFunction(F, M);
-    FunctionSchedule Pig = scheduleFunctionWithPig(F, M);
-    for (unsigned B = 0; B != F.numBlocks(); ++B) {
-      unsigned N = F.block(B).size();
-      unsigned StdSpan = 0, PigSpan = 0;
-      for (unsigned I = 0; I + 1 < N; ++I) {
-        StdSpan = std::max(StdSpan, Standard.Blocks[B].CycleOf[I] + 1);
-        PigSpan = std::max(PigSpan, Pig.Blocks[B].CycleOf[I] + 1);
-      }
-      EXPECT_EQ(PigSpan, StdSpan) << F.name() << " block " << B;
-      EXPECT_LE(Pig.Blocks[B].Makespan,
-                Standard.Blocks[B].Makespan + 1)
-          << F.name() << " block " << B;
-    }
-  }
-}
-
-TEST(PigSchedulerTest, NeverBeatsCriticalPath) {
-  Function F = reductionTree(8);
-  MachineModel M = MachineModel::rs6000();
-  DependenceGraph G(F, 0, M);
-  std::vector<unsigned> EP = computeEP(G);
-  unsigned CP = 0;
-  for (unsigned V = 0; V != G.size(); ++V)
-    CP = std::max(CP, EP[V]);
-  FunctionSchedule S = scheduleFunctionWithPig(F, M);
-  EXPECT_GE(S.Blocks[0].Makespan, CP + 1);
 }

@@ -221,6 +221,73 @@ TEST(ParserTest, RejectsTooSmallRegisterDeclaration) {
   EXPECT_NE(Err.find("register count"), std::string::npos);
 }
 
+namespace {
+
+/// Parses \p Text, expecting a parse error whose message contains
+/// \p Needle.
+void expectParseError(const std::string &Text, const std::string &Needle) {
+  Function F;
+  std::string Err;
+  EXPECT_FALSE(parseFunction(Text, F, Err)) << Text;
+  EXPECT_NE(Err.find(Needle), std::string::npos) << Err;
+}
+
+} // namespace
+
+TEST(ParserTest, RejectsNoRegSentinelAsRegister) {
+  // %s4294967295 is NoReg itself, the "no register" sentinel.
+  expectParseError("func @x regs 2 {\nblock e:\n  %s0 = li 1\n"
+                   "  %s1 = add %s0, %s4294967295\n  ret %s1\n}\n",
+                   "register '%s4294967295' is out of range");
+}
+
+TEST(ParserTest, RejectsRegisterNumberPast32Bits) {
+  // Used to wrap to %s0 and compile silently.
+  expectParseError("func @x regs 1 {\nblock e:\n  %s4294967296 = li 1\n"
+                   "  ret %s0\n}\n",
+                   "register '%s4294967296' is out of range");
+}
+
+TEST(ParserTest, RejectsRegisterNumberPast64Bits) {
+  expectParseError("func @x regs 1 {\nblock e:\n"
+                   "  %s99999999999999999999 = li 1\n  ret\n}\n",
+                   "register '%s99999999999999999999' is out of range");
+}
+
+TEST(ParserTest, RejectsImmediatePast64Bits) {
+  expectParseError("func @x regs 1 {\nblock e:\n"
+                   "  %s0 = li 99999999999999999999\n  ret %s0\n}\n",
+                   "integer '99999999999999999999' is out of range");
+}
+
+TEST(ParserTest, RejectsRegisterCountPast32Bits) {
+  // Used to truncate to a declaration of zero registers.
+  expectParseError("func @x regs 4294967296 {\nblock e:\n  ret\n}\n",
+                   "bad register count");
+}
+
+TEST(ParserTest, RejectsArraySizeOutsideUnsigned) {
+  // Used to truncate (4294967297 declared one element) or to fail with
+  // an empty message (-1).
+  for (const char *Size : {"4294967297", "-1"})
+    expectParseError(std::string("func @x regs 0 {\n  array a ") + Size +
+                         "\nblock e:\n  ret\n}\n",
+                     "bad array size");
+}
+
+TEST(ParserTest, AcceptsExtremeInRangeNumbers) {
+  Function F;
+  std::string Err;
+  ASSERT_TRUE(parseFunction("func @x regs 4294967295 {\nblock e:\n"
+                            "  %s4294967294 = li -9223372036854775808\n"
+                            "  ret\n}\n",
+                            F, Err))
+      << Err;
+  EXPECT_EQ(F.numRegs(), 4294967295u);
+  EXPECT_EQ(F.block(0).inst(0).def(), 4294967294u);
+  EXPECT_EQ(F.block(0).inst(0).imm(), std::numeric_limits<int64_t>::min());
+}
+
 TEST(ParserTest, CommentsAreIgnored) {
   const char *Text = "# leading comment\n"
                      "func @c regs 1 { # trailing\n"

@@ -81,6 +81,16 @@ block entry:
 }
 EOF
 
+# %s4294967295 is the parser's "no register" sentinel, not a register.
+cat > noreg.pir <<'EOF'
+func @noreg regs 2 {
+block entry:
+  %s0 = li 1
+  %s1 = add %s0, %s4294967295
+  ret %s1
+}
+EOF
+
 # --- exit 0: clean compiles -------------------------------------------------
 expect 0 "clean single function"        -- "$PIRAC" good.pir
 expect 0 "clean batch"                  -- "$PIRAC" good.pir good.pir --jobs 2
@@ -161,6 +171,7 @@ PY
   fi
 }
 check_failed_report bad.pir parse-error
+check_failed_report noreg.pir parse-error
 check_failed_report no-such-file.pir invalid-argument
 expect 1 "mixed batch still reports 1"  -- "$PIRAC" good.pir bad.pir --jobs 2
 expect 1 "budget rejection"             -- "$PIRAC" good.pir --max-instructions 1

@@ -238,16 +238,6 @@ TEST(UndirectedGraphTest, EdgeListLexicographic) {
   EXPECT_EQ(G.edgeList(), Expected);
 }
 
-TEST(UndirectedGraphTest, UnionWithMergesEdges) {
-  UndirectedGraph A(3), B(3);
-  A.addEdge(0, 1);
-  B.addEdge(1, 2);
-  B.addEdge(0, 1);
-  A.unionWith(B);
-  EXPECT_EQ(A.numEdges(), 2u);
-  EXPECT_TRUE(A.hasEdge(1, 2));
-}
-
 //===----------------------------------------------------------------------===//
 // Rng
 //===----------------------------------------------------------------------===//

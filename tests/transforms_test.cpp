@@ -5,22 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/IRBuilder.h"
 #include "ir/Interpreter.h"
 #include "ir/Verifier.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Strategies.h"
-#include "analysis/DependenceGraph.h"
-#include "analysis/Webs.h"
-#include "ir/Parser.h"
-#include "ir/Printer.h"
-#include "transforms/Cleanup.h"
 #include "transforms/DagReduce.h"
-#include "transforms/Normalize.h"
 #include "transforms/LoopUnroller.h"
 #include "support/Rng.h"
 #include "workloads/Kernels.h"
-#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -140,223 +132,6 @@ TEST(UnrollTest, SemanticsAcrossKernelLoops) {
     std::string Err;
     ASSERT_TRUE(verifyFunction(F, Err)) << Name << ": " << Err;
     expectSameSemantics(Kernel, F, 44, Name);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Dead code elimination
-//===----------------------------------------------------------------------===//
-
-TEST(DceTest, RemovesUnusedPureDefs) {
-  Function F("t");
-  IRBuilder B(F);
-  B.startBlock("e");
-  Reg A = B.loadImm(1);
-  B.binary(Opcode::Add, A, A);       // dead
-  Reg C = B.binary(Opcode::Mul, A, A); // live via ret
-  B.load("m", NoReg, 0);             // dead load (pure)
-  B.ret(C);
-  EXPECT_EQ(eliminateDeadCode(F), 2u);
-  EXPECT_EQ(F.block(0).size(), 3u);
-  ExecResult R = interpret(F, makeInitialState(F, 1));
-  EXPECT_EQ(R.ReturnValue, 1);
-}
-
-TEST(DceTest, CascadesThroughChains) {
-  Function F("t");
-  IRBuilder B(F);
-  B.startBlock("e");
-  Reg A = B.loadImm(1);
-  Reg D1 = B.binary(Opcode::Add, A, A);  // only feeds D2
-  Reg D2 = B.binary(Opcode::Mul, D1, D1); // only feeds D3
-  B.binary(Opcode::Sub, D2, D2);          // dead
-  B.ret(A);
-  EXPECT_EQ(eliminateDeadCode(F), 3u) << "whole chain dies";
-  EXPECT_EQ(F.block(0).size(), 2u);
-}
-
-TEST(DceTest, KeepsStoresAndTerminators) {
-  Function F("t");
-  IRBuilder B(F);
-  B.startBlock("e");
-  Reg A = B.loadImm(1);
-  B.store("m", A, NoReg, 0);
-  B.ret();
-  EXPECT_EQ(eliminateDeadCode(F), 0u);
-  EXPECT_EQ(F.block(0).size(), 3u);
-}
-
-TEST(DceTest, NoopOnCleanKernels) {
-  for (auto &[Name, Kernel] : standardKernelSuite()) {
-    Function F = Kernel;
-    EXPECT_EQ(eliminateDeadCode(F), 0u) << Name;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Copy propagation
-//===----------------------------------------------------------------------===//
-
-TEST(CopyPropTest, ForwardsThroughCopies) {
-  Function F("t");
-  IRBuilder B(F);
-  B.startBlock("e");
-  Reg A = B.loadImm(7);
-  Reg C = B.copy(A);
-  Reg D = B.binary(Opcode::Add, C, C);
-  B.ret(D);
-  EXPECT_EQ(propagateCopies(F), 2u) << "both add operands forwarded";
-  // The add now reads A directly; DCE can kill the copy.
-  EXPECT_EQ(F.block(0).inst(2).uses()[0], A);
-  EXPECT_EQ(eliminateDeadCode(F), 1u);
-  ExecResult R = interpret(F, makeInitialState(F, 1));
-  EXPECT_EQ(R.ReturnValue, 14);
-}
-
-TEST(CopyPropTest, StopsAtSourceRedefinition) {
-  Function F("t");
-  F.setNumRegs(3);
-  F.addBlock("e");
-  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
-  F.block(0).append(Instruction(Opcode::Copy, 1, {0}));
-  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 9)); // src redefined
-  F.block(0).append(Instruction(Opcode::Add, 2, {1, 1}));    // must read 1
-  F.block(0).append(Instruction(Opcode::Ret, NoReg, {2}));
-  propagateCopies(F);
-  EXPECT_EQ(F.block(0).inst(3).uses()[0], 1u)
-      << "forwarding through a clobbered source would change semantics";
-  ExecResult R = interpret(F, makeInitialState(F, 1));
-  EXPECT_EQ(R.ReturnValue, 2);
-}
-
-TEST(CopyPropTest, StopsAtDestRedefinition) {
-  Function F("t");
-  F.setNumRegs(3);
-  F.addBlock("e");
-  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
-  F.block(0).append(Instruction(Opcode::Copy, 1, {0}));
-  F.block(0).append(Instruction(Opcode::LoadImm, 1, {}, 5)); // dest clobbered
-  F.block(0).append(Instruction(Opcode::Add, 2, {1, 1}));
-  F.block(0).append(Instruction(Opcode::Ret, NoReg, {2}));
-  propagateCopies(F);
-  EXPECT_EQ(F.block(0).inst(3).uses()[0], 1u);
-  ExecResult R = interpret(F, makeInitialState(F, 1));
-  EXPECT_EQ(R.ReturnValue, 10);
-}
-
-TEST(CopyPropTest, SemanticsPreservedOnRandomPrograms) {
-  for (unsigned Seed = 1; Seed <= 10; ++Seed) {
-    RandomProgramOptions Opts;
-    Opts.Seed = Seed * 449;
-    Opts.Shape = static_cast<CfgShape>(Seed % 5);
-    Function F = generateRandomProgram(Opts);
-    Function Before = F;
-    propagateCopies(F);
-    eliminateDeadCode(F);
-    std::string Err;
-    ASSERT_TRUE(verifyFunction(F, Err)) << Err;
-    expectSameSemantics(Before, F, Seed, "seed " + std::to_string(Seed));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Web-name normalization (one register per value)
-//===----------------------------------------------------------------------===//
-
-TEST(NormalizeTest, SplitsIndependentReusesOfOneRegister) {
-  // Hand-written code that reuses %s0 for two unrelated values.
-  const char *Text = "func @reuse regs 2 {\n"
-                     "block e:\n"
-                     "  %s0 = li 1\n"
-                     "  %s1 = add %s0, %s0\n"
-                     "  %s0 = li 9\n"       // unrelated value, same reg
-                     "  %s1 = mul %s0, %s1\n"
-                     "  ret %s1\n"
-                     "}\n";
-  Function F;
-  std::string Err;
-  ASSERT_TRUE(parseFunction(Text, F, Err)) << Err;
-  Function Before = F;
-  unsigned Changed = normalizeWebNames(F);
-  EXPECT_GT(Changed, 0u);
-  // The two defs of the old %s0 now use different registers.
-  EXPECT_NE(F.block(0).inst(0).def(), F.block(0).inst(2).def());
-  ASSERT_TRUE(verifyFunction(F, Err)) << Err;
-  expectSameSemantics(Before, F, 3, "normalize reuse");
-}
-
-TEST(NormalizeTest, RemovesSpuriousDependences) {
-  // Before normalization the register reuse creates anti/output edges;
-  // after it, the symbolic schedule graph holds only real constraints.
-  const char *Text = "func @reuse regs 2 {\n"
-                     "block e:\n"
-                     "  %s0 = li 1\n"
-                     "  %s1 = add %s0, %s0\n"
-                     "  %s0 = li 9\n"
-                     "  %s1 = mul %s0, %s1\n"
-                     "  ret %s1\n"
-                     "}\n";
-  Function F;
-  std::string Err;
-  ASSERT_TRUE(parseFunction(Text, F, Err)) << Err;
-  MachineModel M = MachineModel::paperTwoUnit();
-  unsigned EdgesBefore = 0, EdgesAfter = 0;
-  {
-    DependenceGraph G(F, 0, M);
-    for (const DepEdge &E : G.edges())
-      if (E.Kind == DepKind::Anti || E.Kind == DepKind::Output)
-        ++EdgesBefore;
-  }
-  normalizeWebNames(F);
-  {
-    DependenceGraph G(F, 0, M);
-    for (const DepEdge &E : G.edges())
-      if (E.Kind == DepKind::Anti || E.Kind == DepKind::Output)
-        ++EdgesAfter;
-  }
-  EXPECT_GT(EdgesBefore, 0u);
-  EXPECT_EQ(EdgesAfter, 0u);
-}
-
-TEST(NormalizeTest, KeepsCompoundWebsTogether) {
-  // Loop-carried registers legitimately share a name across their
-  // merged definitions; normalization must not split them.
-  Function F = dotProduct(1);
-  normalizeWebNames(F);
-  std::string Err;
-  ASSERT_TRUE(verifyFunction(F, Err)) << Err;
-  // The accumulator still has two defs of one register.
-  Webs W(F);
-  unsigned AccWeb = W.webOfUse(2, 0, 0); // exit ret reads the sum
-  EXPECT_EQ(W.defsOfWeb(AccWeb).size(), 2u);
-  ExecResult RA = interpret(dotProduct(1), makeInitialState(dotProduct(1), 2));
-  ExecResult RB = interpret(F, makeInitialState(F, 2));
-  ASSERT_TRUE(RA.Completed);
-  ASSERT_TRUE(RB.Completed);
-  EXPECT_EQ(RA.ReturnValue, RB.ReturnValue);
-}
-
-TEST(NormalizeTest, IdempotentOnBuilderOutput) {
-  for (auto &[Name, Kernel] : standardKernelSuite()) {
-    Function F = Kernel;
-    normalizeWebNames(F);
-    Function Once = F;
-    EXPECT_EQ(normalizeWebNames(F), 0u) << Name;
-    EXPECT_EQ(functionToString(F), functionToString(Once)) << Name;
-  }
-}
-
-TEST(NormalizeTest, SemanticsOnRandomPrograms) {
-  for (unsigned Seed = 1; Seed <= 10; ++Seed) {
-    RandomProgramOptions Opts;
-    Opts.Seed = Seed * 8111;
-    Opts.Shape = static_cast<CfgShape>(Seed % 5);
-    Function F = generateRandomProgram(Opts);
-    Function Before = F;
-    normalizeWebNames(F);
-    std::string Err;
-    ASSERT_TRUE(verifyFunction(F, Err)) << Err;
-    expectSameSemantics(Before, F, Seed, "seed " + std::to_string(Seed));
   }
 }
 
