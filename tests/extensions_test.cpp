@@ -3,8 +3,8 @@
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
 //
-// Covers the Goodman-Hsu integrated prepass scheduler, the extended
-// kernel suite, parser fuzzing via generated programs, and
+// Covers the Goodman-Hsu integrated prepass scheduler, Section 3's
+// augmented parallelizable interference graph, the extended kernel suite, parser fuzzing via generated programs, and
 // cross-analysis consistency invariants.
 //
 //===----------------------------------------------------------------------===//
@@ -12,6 +12,8 @@
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
 #include "analysis/Webs.h"
+#include "core/FalseDependenceGraph.h"
+#include "core/ParallelInterferenceGraph.h"
 #include "core/PinterAllocator.h"
 #include "core/RegionHoist.h"
 #include "ir/IRBuilder.h"
@@ -97,6 +99,43 @@ TEST(IpsTest, StrategyRunsEndToEnd) {
 TEST(IpsTest, NameIsStable) {
   EXPECT_STREQ(strategyName(StrategyKind::IntegratedPrepass),
                "goodman-hsu-ips");
+}
+
+//===----------------------------------------------------------------------===//
+// Augmented parallelizable interference graph: its co-issue edges are Ef
+//===----------------------------------------------------------------------===//
+
+TEST(AugmentedPigTest, CoIssueEdgesMatchFalseDependenceGraph) {
+  // The PIG's parallel family is Ef of each block's false dependence
+  // graph, kept between defining instructions and mapped to their webs.
+  Function F = paperExample2();
+  MachineModel M = MachineModel::paperTwoUnit();
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  ParallelInterferenceGraph PIG(F, W, IG, M);
+  UndirectedGraph Expected(W.numWebs());
+  for (unsigned B = 0; B != F.numBlocks(); ++B) {
+    const BasicBlock &BB = F.block(B);
+    FalseDependenceGraph FDG(F, B, M);
+    for (const auto &[U, V] : FDG.parallelPairs().edgeList())
+      if (BB.inst(U).hasDef() && BB.inst(V).hasDef() &&
+          W.webOfDef(B, U) != W.webOfDef(B, V))
+        Expected.addEdge(W.webOfDef(B, U), W.webOfDef(B, V));
+  }
+  EXPECT_GT(Expected.edgeList().size(), 0u);
+  EXPECT_EQ(PIG.parallel().edgeList(), Expected.edgeList());
+}
+
+TEST(AugmentedPigTest, AvailableListsMatchPaperText) {
+  // "at each node v the edges {v,u} provide the list of available
+  // instructions (with v)": for s8 of Example 2 that list is s1..s5.
+  Function F = paperExample2();
+  FalseDependenceGraph FDG(F, 0, MachineModel::paperTwoUnit());
+  std::vector<unsigned> Avail;
+  for (unsigned U = 0; U != F.block(0).size(); ++U)
+    if (FDG.canIssueTogether(7, U))
+      Avail.push_back(U);
+  EXPECT_EQ(Avail, (std::vector<unsigned>{0, 1, 2, 3, 4}));
 }
 
 //===----------------------------------------------------------------------===//
