@@ -9,22 +9,11 @@
 
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
-#include "support/Telemetry.h"
-#include "transforms/DagReduce.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace pira;
-
-PIRA_STAT(NumClosureComponents,
-          "Weakly connected components split off before closure");
-PIRA_STAT(NumClosureChainsCollapsed,
-          "Single-entry/single-exit chains collapsed before closure");
-PIRA_STAT(NumClosureEdgesStripped,
-          "Redundant transitive edges stripped before closure");
-PIRA_STAT(NumClosureSinksPeeled,
-          "Universal terminator sinks peeled before closure");
 
 const char *pira::depKindName(DepKind Kind) {
   switch (Kind) {
@@ -233,16 +222,8 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
 }
 
 BitMatrix DependenceGraph::reachability() const {
-  std::vector<std::pair<unsigned, unsigned>> EdgePairs;
-  EdgePairs.reserve(Edges.size());
-  for (const DepEdge &E : Edges)
-    EdgePairs.push_back({E.From, E.To});
-  dagreduce::ReduceStats RS;
-  BitMatrix M = dagreduce::reducedClosure(NumNodes, EdgePairs, &RS);
-  NumClosureComponents += RS.Components;
-  NumClosureChainsCollapsed += RS.Chains;
-  NumClosureEdgesStripped += RS.StrippedEdges;
-  NumClosureSinksPeeled += RS.PeeledSink ? 1 : 0;
+  BitMatrix M = Adjacent;
+  M.transitiveClosureUpperTriangular();
   return M;
 }
 

@@ -16,7 +16,7 @@
 ///
 /// Every edge satisfies From < To: dependences always point from an earlier
 /// instruction to a later one, so node order is a topological order. The
-/// reduction pipeline behind reachability() relies on this invariant.
+/// descending closure sweep behind reachability() relies on this invariant.
 ///
 /// Adjacency is stored in CSR form (flat offset/index arrays in an arena,
 /// returned as spans): one contiguous allocation instead of one vector per
@@ -102,9 +102,9 @@ public:
   /// Returns directed reachability (the transitive closure of the edge
   /// relation). Entry (u, v) is set iff a nonempty path u -> v exists.
   ///
-  /// Computed through the pre-closure DAG reduction (component split,
-  /// chain collapse, transitive-edge strip); bit-identical to closing the
-  /// adjacency matrix directly.
+  /// Closes the adjacency matrix with
+  /// BitMatrix::transitiveClosureUpperTriangular, which the From < To
+  /// invariant admits.
   BitMatrix reachability() const;
 
   /// Returns true when a nonempty directed path \p From -> \p To exists.

@@ -111,7 +111,8 @@ public:
           Deps.set(A, B);
       }
     }
-    Deps.transitiveClosure();
+    // Every edge points from a lower region index to a higher one.
+    Deps.transitiveClosureUpperTriangular();
   }
 
   /// Returns true when nodes \p A and \p B (region indices) may issue in

@@ -60,20 +60,16 @@ public:
     return Par.hasEdge(A, B);
   }
 
-  /// Removes \p V with all its edges. \returns its former combined
-  /// neighbors, ascending.
-  std::vector<unsigned> removeVertex(unsigned V) {
+  /// Removes \p V with all its edges, and calls \p OnNeighbor on each
+  /// former combined neighbor, ascending, once all its edges to \p V are
+  /// gone.
+  template <typename Fn> void removeVertex(unsigned V, Fn &&OnNeighbor) {
     assert(!Removed[V] && "vertex removed twice");
-    std::vector<unsigned> Neighbors = Combined.neighborList(V);
-    for (unsigned N : Neighbors)
-      Combined.removeEdge(V, N);
-    for (unsigned N : Interf.neighborList(V))
-      Interf.removeEdge(V, N);
-    for (unsigned N : Par.neighborList(V))
-      Par.removeEdge(V, N);
+    detach(Interf, V, [](unsigned) {});
+    detach(Par, V, [](unsigned) {});
+    detach(Combined, V, OnNeighbor);
     Removed[V] = true;
     --Remaining;
-    return Neighbors;
   }
 
   /// Parallel-only neighbors of \p V still present.
@@ -126,6 +122,19 @@ public:
   const UndirectedGraph &combined() const { return Combined; }
 
 private:
+  /// Removes every edge of \p V in \p G, calling \p OnNeighbor on each
+  /// former neighbor right after its edge goes. The walk reads \p V's own
+  /// row, whose bits at or below the cursor may be cleared under it.
+  template <typename Fn>
+  static void detach(UndirectedGraph &G, unsigned V, Fn &&OnNeighbor) {
+    const BitVector &Row = G.neighbors(V);
+    for (int Next = Row.findFirst(); Next != -1;
+         Next = Row.findNext(static_cast<unsigned>(Next))) {
+      G.removeEdge(V, static_cast<unsigned>(Next));
+      OnNeighbor(static_cast<unsigned>(Next));
+    }
+  }
+
   UndirectedGraph Combined;
   UndirectedGraph Interf;
   UndirectedGraph Par;
@@ -162,8 +171,7 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
     Retest(V);
   auto Remove = [&](unsigned V) {
     Eligible.reset(V);
-    for (unsigned U : Work.removeVertex(V))
-      Retest(U);
+    Work.removeVertex(V, Retest);
   };
 
   // Ascending sweeps repeated until one pushes nothing: the next push is
@@ -289,7 +297,7 @@ Allocation pira::pinterColorReference(const ParallelInterferenceGraph &PIG,
         if (Work.isRemoved(V) || Work.degree(V) >= NumRegs)
           continue;
         Stack.push_back(V);
-        Work.removeVertex(V);
+        Work.removeVertex(V, [](unsigned) {});
         Progress = true;
       }
     }
@@ -349,7 +357,7 @@ Allocation pira::pinterColorReference(const ParallelInterferenceGraph &PIG,
     }
     assert(Spill != ~0u && "no spill candidate among survivors");
     Out.SpilledWebs.push_back(Spill);
-    Work.removeVertex(Spill);
+    Work.removeVertex(Spill, [](unsigned) {});
   }
 
   if (Out.SpilledWebs.empty())

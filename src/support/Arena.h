@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A bump-pointer arena for analysis scratch data with a common lifetime:
-/// CSR adjacency arrays, per-component worklists, chain tables. Everything
-/// allocated from one arena is freed together when the arena is destroyed,
-/// so the per-function hot loop pays one amortized malloc per chunk instead
-/// of one per tiny array, and neighboring allocations stay cache-adjacent.
+/// A bump-pointer arena for analysis scratch data with a common lifetime,
+/// such as the schedule graph's CSR adjacency arrays. Everything allocated
+/// from one arena is freed together when the arena is destroyed, so the
+/// per-function hot loop pays one amortized malloc per chunk instead of one
+/// per tiny array, and neighboring allocations stay cache-adjacent.
 ///
 /// Restricted to trivially destructible types: the arena never runs
 /// destructors.
@@ -63,7 +63,10 @@ private:
     if (P + Bytes > End) {
       size_t Need = Bytes + Align;
       size_t Size = Need > ChunkBytes ? Need : ChunkBytes;
-      Chunks.push_back(std::make_unique<char[]>(Size));
+      // Chunks start uninitialized: a zero-filled 64 KiB chunk would cost
+      // a small block's graph more than the graph itself, and
+      // allocateZeroed clears exactly what its callers need.
+      Chunks.push_back(std::make_unique_for_overwrite<char[]>(Size));
       Cur = reinterpret_cast<uintptr_t>(Chunks.back().get());
       End = Cur + Size;
       P = (Cur + Align - 1) & ~(uintptr_t(Align) - 1);

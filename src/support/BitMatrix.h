@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A square boolean matrix built from BitVector rows. Used as the relation
-/// representation for schedule-graph reachability (transitive closure) and
-/// for dense undirected adjacency.
+/// representation for schedule-graph and control-flow reachability
+/// (transitive closure) and for dense undirected adjacency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,15 +73,47 @@ public:
   /// Replaces the matrix with its reflexive-free transitive closure.
   ///
   /// Runs word-parallel Warshall: for each intermediate K, every row that
-  /// reaches K absorbs K's row. O(N^2 * N/64) bit operations; fine for the
-  /// basic-block sizes (tens to low thousands of instructions) this library
-  /// targets.
+  /// reaches K absorbs K's row. O(N^2 * N/64) bit operations. Works on any
+  /// relation, cycles included (control-flow reachability between blocks);
+  /// an acyclic relation in topological index order, such as a schedule
+  /// graph, closes faster with transitiveClosureUpperTriangular().
   void transitiveClosure() {
     for (unsigned K = 0; K != N; ++K) {
       const BitVector KRow = Rows[K];
       for (unsigned I = 0; I != N; ++I)
         if (Rows[I].test(K))
           Rows[I].unionWith(KRow);
+    }
+  }
+
+  /// Replaces an upper-triangular relation (every entry (I, J) has I < J,
+  /// so index order is a topological order) with its reflexive-free
+  /// transitive closure, in one descending sweep.
+  ///
+  /// Row V is rebuilt from V's direct successors T in ascending order,
+  /// and every row above V is already closed. If row V already holds T,
+  /// an earlier successor T' < T reaches T, and row T' (merged into row V
+  /// whole) contains row T, so T is skipped. Otherwise V takes T and
+  /// row T. A direct edge implied by others thus costs one bit test, and
+  /// only the rest pay a row union: O(N + E * N/64) word operations,
+  /// against Warshall's O(N^2 * N/64).
+  void transitiveClosureUpperTriangular() {
+    BitVector Direct;
+    for (unsigned V = N; V-- != 0;) {
+      BitVector &Row = Rows[V];
+      if (Row.none())
+        continue;
+      Direct = Row;
+      Row.resetAll();
+      for (int Next = Direct.findFirst(); Next != -1;
+           Next = Direct.findNext(static_cast<unsigned>(Next))) {
+        unsigned T = static_cast<unsigned>(Next);
+        assert(V < T && "relation is not upper-triangular");
+        if (Row.test(T))
+          continue;
+        Row.set(T);
+        Row.unionWith(Rows[T]);
+      }
     }
   }
 

@@ -10,15 +10,19 @@
 /// transitive-closure rows. Word-parallel set operations are the workhorse
 /// of the dataflow and closure algorithms.
 ///
+/// The words live in a SmallVector with room for 256 bits inline, so a row
+/// of a block-sized matrix (most blocks hold tens of instructions) makes no
+/// heap allocation; longer vectors spill to one heap array.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_SUPPORT_BITVECTOR_H
 #define PIRA_SUPPORT_BITVECTOR_H
 
+#include "support/SmallVector.h"
+
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace pira {
 
@@ -29,9 +33,8 @@ public:
 
   /// Creates a vector of \p NumBits bits, all initialized to \p Value.
   explicit BitVector(unsigned NumBits, bool Value = false)
-      : NumBits(NumBits),
-        Words((NumBits + WordBits - 1) / WordBits,
-              Value ? ~uint64_t(0) : uint64_t(0)) {
+      : NumBits(NumBits) {
+    Words.resize(numWordsFor(NumBits), Value ? ~uint64_t(0) : uint64_t(0));
     clearUnusedBits();
   }
 
@@ -60,19 +63,19 @@ public:
   /// Reads bit \p Idx.
   bool test(unsigned Idx) const {
     assert(Idx < NumBits && "bit index out of range");
-    return (Words[Idx / WordBits] >> (Idx % WordBits)) & 1;
+    return (Words.data()[Idx / WordBits] >> (Idx % WordBits)) & 1;
   }
 
   /// Sets bit \p Idx to one.
   void set(unsigned Idx) {
     assert(Idx < NumBits && "bit index out of range");
-    Words[Idx / WordBits] |= uint64_t(1) << (Idx % WordBits);
+    Words.data()[Idx / WordBits] |= uint64_t(1) << (Idx % WordBits);
   }
 
   /// Clears bit \p Idx.
   void reset(unsigned Idx) {
     assert(Idx < NumBits && "bit index out of range");
-    Words[Idx / WordBits] &= ~(uint64_t(1) << (Idx % WordBits));
+    Words.data()[Idx / WordBits] &= ~(uint64_t(1) << (Idx % WordBits));
   }
 
   /// Clears all bits.
@@ -90,7 +93,7 @@ public:
 
   /// Resizes to \p NewSize bits; new bits are zero.
   void resize(unsigned NewSize) {
-    Words.resize((NewSize + WordBits - 1) / WordBits, 0);
+    Words.resize(numWordsFor(NewSize), 0);
     NumBits = NewSize;
     clearUnusedBits();
   }
@@ -99,11 +102,13 @@ public:
   /// \returns true if this vector changed.
   bool unionWith(const BitVector &RHS) {
     assert(NumBits == RHS.NumBits && "size mismatch in union");
+    uint64_t *W = Words.data();
+    const uint64_t *R = RHS.Words.data();
     bool Changed = false;
-    for (size_t I = 0, E = Words.size(); I != E; ++I) {
-      uint64_t Old = Words[I];
-      Words[I] |= RHS.Words[I];
-      Changed |= Words[I] != Old;
+    for (unsigned I = 0, E = Words.size(); I != E; ++I) {
+      uint64_t Old = W[I];
+      W[I] |= R[I];
+      Changed |= W[I] != Old;
     }
     return Changed;
   }
@@ -111,23 +116,29 @@ public:
   /// In-place intersection; both vectors must have equal size.
   void intersectWith(const BitVector &RHS) {
     assert(NumBits == RHS.NumBits && "size mismatch in intersect");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= RHS.Words[I];
+    uint64_t *W = Words.data();
+    const uint64_t *R = RHS.Words.data();
+    for (unsigned I = 0, E = Words.size(); I != E; ++I)
+      W[I] &= R[I];
   }
 
   /// In-place set difference (this &= ~RHS); sizes must match.
   void subtract(const BitVector &RHS) {
     assert(NumBits == RHS.NumBits && "size mismatch in subtract");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= ~RHS.Words[I];
+    uint64_t *W = Words.data();
+    const uint64_t *R = RHS.Words.data();
+    for (unsigned I = 0, E = Words.size(); I != E; ++I)
+      W[I] &= ~R[I];
   }
 
   /// Returns true when this vector and \p RHS share any set bit; sizes
   /// must match. Word-parallel, no allocation.
   bool intersects(const BitVector &RHS) const {
     assert(NumBits == RHS.NumBits && "size mismatch in intersects");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      if ((Words[I] & RHS.Words[I]) != 0)
+    const uint64_t *W = Words.data();
+    const uint64_t *R = RHS.Words.data();
+    for (unsigned I = 0, E = Words.size(); I != E; ++I)
+      if ((W[I] & R[I]) != 0)
         return true;
     return false;
   }
@@ -141,10 +152,10 @@ public:
 
   /// Returns the index of the first set bit, or -1 when empty.
   int findFirst() const {
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      if (Words[I] != 0)
-        return static_cast<int>(I * WordBits +
-                                __builtin_ctzll(Words[I]));
+    const uint64_t *W = Words.data();
+    for (unsigned I = 0, E = Words.size(); I != E; ++I)
+      if (W[I] != 0)
+        return static_cast<int>(I * WordBits + __builtin_ctzll(W[I]));
     return -1;
   }
 
@@ -154,14 +165,15 @@ public:
     unsigned Idx = Prev + 1;
     if (Idx >= NumBits)
       return -1;
-    size_t WordIdx = Idx / WordBits;
-    uint64_t Word = Words[WordIdx] & (~uint64_t(0) << (Idx % WordBits));
+    const uint64_t *W = Words.data();
+    unsigned WordIdx = Idx / WordBits;
+    uint64_t Word = W[WordIdx] & (~uint64_t(0) << (Idx % WordBits));
     while (true) {
       if (Word != 0)
         return static_cast<int>(WordIdx * WordBits + __builtin_ctzll(Word));
       if (++WordIdx == Words.size())
         return -1;
-      Word = Words[WordIdx];
+      Word = W[WordIdx];
     }
   }
 
@@ -173,6 +185,10 @@ public:
 private:
   static constexpr unsigned WordBits = 64;
 
+  static unsigned numWordsFor(unsigned Bits) {
+    return (Bits + WordBits - 1) / WordBits;
+  }
+
   void clearUnusedBits() {
     unsigned Tail = NumBits % WordBits;
     if (Tail != 0 && !Words.empty())
@@ -180,7 +196,8 @@ private:
   }
 
   unsigned NumBits = 0;
-  std::vector<uint64_t> Words;
+  /// Four inline words: 256 bits without a heap allocation.
+  SmallVector<uint64_t, 4> Words;
 };
 
 } // namespace pira

@@ -11,7 +11,8 @@
 /// almost always tiny (zero to three registers, one or two branch targets),
 /// so storing them inline turns an Instruction into one flat object and
 /// removes a malloc/free plus a pointer chase from every IR touch on the
-/// hot compile path.
+/// hot compile path. BitVector keeps its words in one the same way, so a
+/// row of a block-sized bit matrix costs no allocation of its own.
 ///
 /// Restricted to trivially copyable element types; that keeps relocation a
 /// memcpy and the container itself cheap to move.
@@ -113,6 +114,17 @@ public:
   }
 
   void clear() { Size = 0; }
+
+  /// Resizes to \p NewSize elements; elements past the old size are set
+  /// to \p Value, and shrinking keeps the capacity.
+  void resize(unsigned NewSize, T Value = T()) {
+    if (NewSize > Capacity)
+      grow(NewSize);
+    T *D = data();
+    for (unsigned I = Size; I < NewSize; ++I)
+      D[I] = Value;
+    Size = NewSize;
+  }
 
   bool operator==(const SmallVector &RHS) const {
     if (Size != RHS.Size)

@@ -524,3 +524,116 @@ TEST(PigSchedulerTest, MatchesStandardSchedulerOnPaperExamples) {
   }
   EXPECT_GT(Terminator, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Schedule-graph closure against the set-based reference, on the blocks the
+// allocator closes: before coloring and after every spill round
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What the closure checks covered; the totals keep them from passing
+/// vacuously.
+struct ClosureTally {
+  unsigned Blocks = 0;
+  unsigned TerminatorSinks = 0; ///< Blocks ending in a branch or return.
+  unsigned SpillMemOps = 0;     ///< Spill loads and stores in checked blocks.
+};
+
+/// Checks DependenceGraph::reachability() against the set-based closure
+/// of the same adjacency on every block of \p F.
+void expectClosureMatchesReference(const Function &F, const MachineModel &M,
+                                   const std::string &What,
+                                   ClosureTally &T) {
+  for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
+    DependenceGraph G(F, B, M);
+    EXPECT_TRUE(G.reachability() == G.adjacency().transitiveClosureSetBased())
+        << What << " block " << B << " (" << G.size() << " insts)";
+    const BasicBlock &BB = F.block(B);
+    ++T.Blocks;
+    if (BB.size() != 0 && BB.inst(BB.size() - 1).isTerminator())
+      ++T.TerminatorSinks;
+    for (const Instruction &I : BB.instructions())
+      if (I.isMemory() && I.arraySymbol() == SpillArrayName)
+        ++T.SpillMemOps;
+  }
+}
+
+/// Follows \p F through the combined allocator's rounds with \p NumRegs
+/// registers (EP reordering once, then color, insert spill code, repeat)
+/// and checks every block's closure before each round's coloring.
+void expectClosureEveryRound(Function F, const MachineModel &M,
+                             unsigned NumRegs, const std::string &What,
+                             ClosureTally &T) {
+  preScheduleFunction(F, M);
+  PinterOptions Opts;
+  std::set<Reg> NoSpillRegs;
+  for (unsigned Round = 0; Round != Opts.MaxRounds; ++Round) {
+    expectClosureMatchesReference(
+        F, M, What + " r=" + std::to_string(NumRegs) + " round " +
+                  std::to_string(Round),
+        T);
+    Webs W(F);
+    InterferenceGraph IG(F, W);
+    ParallelInterferenceGraph PIG(F, W, IG, M);
+    std::vector<double> Costs = computeSpillCosts(F, W);
+    for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
+      if (NoSpillRegs.count(W.webRegister(Web)))
+        Costs[Web] = std::numeric_limits<double>::infinity();
+    Allocation A = pinterColor(PIG, Costs, NumRegs, Opts);
+    if (A.fullyColored())
+      return;
+    insertSpillCode(F, W, A.SpilledWebs, NoSpillRegs);
+  }
+}
+
+} // namespace
+
+TEST(ScheduleGraphClosure, KernelsOnEveryMachine) {
+  // 350 blocks over both register counts, 1,174 spill loads and stores.
+  ClosureTally T;
+  for (const auto &[Name, Kernel] : standardKernelSuite())
+    for (unsigned Regs : {16u, TightRegs})
+      for (const MachineModel &M :
+           {MachineModel::paperTwoUnit(Regs), MachineModel::rs6000(Regs),
+            MachineModel::vliw4(Regs)})
+        expectClosureEveryRound(Kernel, M, Regs, Name + " on " + M.name(), T);
+  EXPECT_GE(T.Blocks, 16u * 3u * 2u);
+  EXPECT_GT(T.TerminatorSinks, 0u);
+  EXPECT_GT(T.SpillMemOps, 0u);
+}
+
+TEST(ScheduleGraphClosure, CorpusAtAmpleAndTightRegisters) {
+  // 3,430 blocks, 18,515 spill loads and stores.
+  ClosureTally T;
+  for (unsigned I = 0; I != 200; ++I) {
+    Function F = corpusProgram(I);
+    expectClosureEveryRound(F, corpusMachine(I), AmpleRegs,
+                            "program " + std::to_string(I), T);
+    expectClosureEveryRound(F, tightMachine(I % 3), TightRegs,
+                            "program " + std::to_string(I), T);
+  }
+  EXPECT_GE(T.Blocks, 400u);
+  EXPECT_GT(T.TerminatorSinks, 0u);
+  EXPECT_GT(T.SpillMemOps, 0u);
+}
+
+// The benchmark ladder's block shape (straight-line random blocks on
+// rs6000 with 12 registers) at 32 to 256 instructions, re-checked after
+// every spill round adds loads and stores to the block: 36 closures,
+// 3,597 spill loads and stores.
+TEST(ScheduleGraphClosure, LadderBlocksAfterEverySpillRound) {
+  ClosureTally T;
+  for (unsigned Insts : {32u, 64u, 128u, 256u}) {
+    RandomProgramOptions Gen;
+    Gen.InstructionsPerBlock = Insts - 3;
+    Gen.Seed = 4242 + Insts;
+    Gen.FloatPercent = 40;
+    Gen.MemoryPercent = 25;
+    expectClosureEveryRound(generateRandomProgram(Gen),
+                            MachineModel::rs6000(12), 12,
+                            std::to_string(Insts) + "-inst block", T);
+  }
+  EXPECT_GT(T.TerminatorSinks, 4u);
+  EXPECT_GT(T.SpillMemOps, 0u);
+}

@@ -17,10 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <clocale>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace pira;
 
@@ -135,6 +139,102 @@ TEST(BitVectorTest, EqualityComparesSizeAndBits) {
   EXPECT_NE(A, C);
   B.set(3);
   EXPECT_NE(A, B);
+}
+
+namespace {
+
+/// Sizes around the 256-bit inline capacity, plus empty and one word.
+const unsigned BoundarySizes[] = {0, 1, 255, 256, 257, 1000};
+
+/// A vector of \p Bits bits with bits 0, Bits / 2 and Bits - 1 set.
+BitVector markedVector(unsigned Bits) {
+  BitVector V(Bits);
+  if (Bits != 0) {
+    V.set(0);
+    V.set(Bits / 2);
+    V.set(Bits - 1);
+  }
+  return V;
+}
+
+} // namespace
+
+TEST(BitVectorTest, CopyMoveAndSelfAssignAcrossInlineBoundary) {
+  for (unsigned Bits : BoundarySizes) {
+    SCOPED_TRACE(Bits);
+    const BitVector A = markedVector(Bits);
+    BitVector Copy(A);
+    EXPECT_EQ(Copy, A);
+    BitVector Want = A;
+    if (Bits > 3) {
+      // Writing the copy never shows through to the original.
+      Copy.set(Bits / 3);
+      Want.set(Bits / 3);
+      EXPECT_FALSE(A.test(Bits / 3));
+      EXPECT_NE(Copy, A);
+    }
+    BitVector Moved(std::move(Copy));
+    EXPECT_EQ(Moved, Want);
+    BitVector &Self = Moved;
+    Moved = Self;
+    EXPECT_EQ(Moved, Want);
+    BitVector MoveAssigned;
+    MoveAssigned = std::move(Moved);
+    EXPECT_EQ(MoveAssigned, Want);
+    EXPECT_EQ(MoveAssigned.count(), Want.count());
+  }
+}
+
+TEST(BitVectorTest, AssignmentBetweenInlineAndHeapSizes) {
+  for (unsigned From : BoundarySizes)
+    for (unsigned To : BoundarySizes) {
+      SCOPED_TRACE(std::to_string(From) + " -> " + std::to_string(To));
+      BitVector Src = markedVector(From);
+      BitVector Dst = markedVector(To);
+      Dst = Src;
+      EXPECT_EQ(Dst, Src);
+      EXPECT_EQ(Dst.count(), Src.count());
+      BitVector Moved = markedVector(To);
+      Moved = std::move(Dst);
+      EXPECT_EQ(Moved, Src);
+    }
+}
+
+TEST(BitVectorTest, ResizeAcrossInlineBoundary) {
+  for (unsigned From : BoundarySizes)
+    for (unsigned To : BoundarySizes) {
+      SCOPED_TRACE(std::to_string(From) + " -> " + std::to_string(To));
+      BitVector V(From, true);
+      V.resize(To);
+      ASSERT_EQ(V.size(), To);
+      EXPECT_EQ(V.count(), std::min(From, To));
+      for (unsigned I = 0; I != To; ++I)
+        ASSERT_EQ(V.test(I), I < From) << "bit " << I;
+      // Bits dropped by a shrink stay dropped when the vector regrows.
+      V.resize(From);
+      EXPECT_EQ(V.count(), std::min(From, To));
+    }
+}
+
+TEST(BitVectorTest, EqualityAndFindNextInLastWord) {
+  for (unsigned Bits : BoundarySizes) {
+    SCOPED_TRACE(Bits);
+    BitVector A = markedVector(Bits), B = markedVector(Bits);
+    EXPECT_EQ(A, B);
+    // Vectors of different sizes never compare equal.
+    EXPECT_NE(A, markedVector(Bits + 1));
+    if (Bits == 0) {
+      EXPECT_EQ(A.findFirst(), -1);
+      continue;
+    }
+    B.reset(Bits - 1);
+    EXPECT_NE(A, B);
+    // findNext reaches the last bit of the last word and stops there.
+    int Last = Bits == 1 ? A.findFirst() : A.findNext(Bits - 2);
+    EXPECT_EQ(Last, static_cast<int>(Bits - 1));
+    EXPECT_EQ(A.findNext(Bits - 1), -1);
+    EXPECT_EQ(B.findNext(Bits / 2), -1);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -345,9 +445,11 @@ BitMatrix randomDag(unsigned N, unsigned EdgePercent, uint64_t Seed) {
 } // namespace
 
 TEST(TransitiveClosureTest, BitsetMatchesSetBasedReferenceOnRandomDags) {
-  // Sizes straddle the word width and reach the 512-node blocks the
-  // closure benchmark times; densities cover sparse through near-dense.
-  for (unsigned N : {1u, 7u, 63u, 64u, 65u, 200u, 512u})
+  // Sizes straddle the word width and BitVector's 256-bit inline storage
+  // and reach the 512-node blocks the closure benchmark times; densities
+  // cover sparse through near-dense. Both bitset closures, Warshall and
+  // the upper-triangular sweep, must match the reference.
+  for (unsigned N : {1u, 7u, 63u, 64u, 65u, 200u, 256u, 257u, 512u})
     for (unsigned Density : {2u, 10u, 40u}) {
       BitMatrix Dag = randomDag(N, Density, N * 1000 + Density);
       BitMatrix Reference = Dag.transitiveClosureSetBased();
@@ -355,6 +457,10 @@ TEST(TransitiveClosureTest, BitsetMatchesSetBasedReferenceOnRandomDags) {
       Packed.transitiveClosure();
       EXPECT_EQ(Packed, Reference)
           << "closures diverge at N=" << N << " density=" << Density << "%";
+      BitMatrix Swept = Dag;
+      Swept.transitiveClosureUpperTriangular();
+      EXPECT_EQ(Swept, Reference)
+          << "sweep diverges at N=" << N << " density=" << Density << "%";
     }
 }
 
@@ -371,9 +477,99 @@ TEST(TransitiveClosureTest, ClosureOfChainIsFullUpperTriangle) {
   for (unsigned I = 0; I + 1 != N; ++I)
     Chain.set(I, I + 1);
   BitMatrix Reference = Chain.transitiveClosureSetBased();
+  BitMatrix Swept = Chain;
+  Swept.transitiveClosureUpperTriangular();
   Chain.transitiveClosure();
   EXPECT_EQ(Chain, Reference);
+  EXPECT_EQ(Swept, Reference);
   EXPECT_EQ(Chain.count(), N * (N - 1) / 2);
+}
+
+//===----------------------------------------------------------------------===//
+// Upper-triangular closure sweep on edge lists. The DagReduceTest names
+// date from the pre-closure DAG reduction the sweep replaced; the shapes
+// that stressed the reduction stay as cases.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectSweepMatchesOracle(
+    unsigned N, const std::vector<std::pair<unsigned, unsigned>> &E,
+    const std::string &What) {
+  BitMatrix Got(N);
+  for (auto [A, B] : E)
+    Got.set(A, B);
+  BitMatrix Want = Got.transitiveClosureSetBased();
+  Got.transitiveClosureUpperTriangular();
+  ASSERT_EQ(Got.size(), Want.size()) << What;
+  for (unsigned I = 0; I < N; ++I)
+    for (unsigned J = 0; J < N; ++J)
+      ASSERT_EQ(Got.test(I, J), Want.test(I, J))
+          << What << ": row " << I << " col " << J;
+}
+
+} // namespace
+
+TEST(DagReduceTest, DegenerateShapes) {
+  // Empty graph and a single node.
+  expectSweepMatchesOracle(0, {}, "empty");
+  expectSweepMatchesOracle(1, {}, "single node");
+
+  // Fully disconnected: no edges at any size.
+  expectSweepMatchesOracle(17, {}, "disconnected 17");
+
+  // One long chain: every row union carries the whole tail.
+  std::vector<std::pair<unsigned, unsigned>> Chain;
+  for (unsigned I = 0; I + 1 < 64; ++I)
+    Chain.push_back({I, I + 1});
+  expectSweepMatchesOracle(64, Chain, "chain 64");
+
+  // Many two-node chains: most rows stay empty.
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  for (unsigned I = 0; I + 1 < 40; I += 2)
+    Pairs.push_back({I, I + 1});
+  expectSweepMatchesOracle(40, Pairs, "pair soup");
+
+  // Universal sink (every node feeds the terminator).
+  std::vector<std::pair<unsigned, unsigned>> Sink;
+  for (unsigned I = 0; I + 1 < 12; ++I)
+    Sink.push_back({I, 11});
+  expectSweepMatchesOracle(12, Sink, "universal sink");
+
+  // Duplicate edges collapse into one matrix entry; (0, 2) is implied by
+  // (0, 1), (1, 2), so the sweep skips it.
+  expectSweepMatchesOracle(
+      3, {{0, 1}, {0, 1}, {1, 2}, {1, 2}, {0, 2}}, "duplicate edges");
+}
+
+TEST(DagReduceTest, ReducedClosureMatchesOracleOn200RandomDags) {
+  // The descending sweep, whose skip rule leaves implied edges unmerged,
+  // must give bit-for-bit the closure of the input. Edges are drawn with
+  // From < To, the DependenceGraph invariant the sweep requires.
+  Rng R(0xDA6CEDu);
+  for (unsigned Case = 0; Case < 200; ++Case) {
+    unsigned N = 1 + static_cast<unsigned>(R.nextBelow(512));
+    // Sweep density so some graphs shatter into many components and
+    // others are one dense blob in which most edges are implied.
+    double Density = static_cast<double>(R.nextBelow(1000)) / 1000.0 * 0.15;
+    std::vector<std::pair<unsigned, unsigned>> E;
+    // Backbone chains over random strides keep long single-entry/
+    // single-exit runs common.
+    for (unsigned I = 0; I + 1 < N; ++I)
+      if (R.nextBelow(100) < 60)
+        E.push_back({I, I + 1});
+    auto MaxExtra = static_cast<uint64_t>(Density * N) * 4 + 1;
+    for (uint64_t K = R.nextBelow(MaxExtra); K != 0; --K) {
+      unsigned A = static_cast<unsigned>(R.nextBelow(N));
+      unsigned B = static_cast<unsigned>(R.nextBelow(N));
+      if (A != B)
+        E.push_back({std::min(A, B), std::max(A, B)});
+    }
+    std::string What = "case " + std::to_string(Case) + " (N=" +
+                       std::to_string(N) + ", |E|=" +
+                       std::to_string(E.size()) + ")";
+    expectSweepMatchesOracle(N, E, What);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -668,6 +864,33 @@ TEST(ArenaTest, BumpAllocationAndAlignment) {
   char *Big = A.allocate<char>(4096);
   Big[4095] = 'x';
   EXPECT_EQ(Big[4095], 'x');
+}
+
+TEST(ArenaTest, AllocateZeroedClearsEveryChunk) {
+  // Chunks are not zero-filled, so dirty freed heap memory first: the
+  // next arena's chunks are likely to reuse it.
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    {
+      Arena Dirty(/*ChunkBytes=*/512);
+      for (unsigned I = 0; I != 16; ++I) {
+        uint64_t *P = Dirty.allocate<uint64_t>(48);
+        for (unsigned J = 0; J != 48; ++J)
+          P[J] = ~uint64_t(0);
+      }
+    }
+    Arena A(/*ChunkBytes=*/512);
+    for (unsigned I = 0; I != 16; ++I) {
+      // 384 bytes each: every allocation opens a new 512-byte chunk.
+      uint64_t *Q = A.allocateZeroed<uint64_t>(48);
+      for (unsigned J = 0; J != 48; ++J)
+        ASSERT_EQ(Q[J], 0u) << "round " << Round << " block " << I;
+      for (unsigned J = 0; J != 48; ++J)
+        Q[J] = J + 1;
+    }
+    unsigned *Wide = A.allocateZeroed<unsigned>(1000); // beyond one chunk
+    for (unsigned J = 0; J != 1000; ++J)
+      ASSERT_EQ(Wide[J], 0u);
+  }
 }
 
 TEST(StringInternerTest, PointerIdentityPerContent) {
