@@ -40,6 +40,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 using namespace pira;
 
@@ -182,18 +183,14 @@ struct ColoringTally {
   unsigned Spills = 0;
 };
 
-/// Follows \p F through pinterAllocate's rounds on \p M with \p NumRegs
-/// registers (region hoist and EP reordering once, then color, insert
-/// spill code, repeat) and checks at every round that pinterColor
-/// returns exactly the Allocation of pinterColorReference.
-void expectSameColoringEveryRound(Function F, const MachineModel &M,
-                                  unsigned NumRegs, const PinterOptions &Opts,
-                                  const std::string &What,
-                                  ColoringTally &Tally) {
-  SCOPED_TRACE(What + " r=" + std::to_string(NumRegs) + " weights (" +
-               std::to_string(Opts.InterferenceWeight) + ", " +
-               std::to_string(Opts.ParallelWeight) + ")" +
-               (Opts.UseRegions ? " regions" : ""));
+/// Follows \p F through pinterAllocate's rounds on \p M (region hoist and
+/// EP reordering once, then color, insert spill code, repeat). Each round
+/// \p Color gets the function, its PIG and its spill costs and returns the
+/// round's allocation; the walk stops once it fully colors or a check
+/// fails.
+template <typename ColorFn>
+void forEachPinterRound(Function F, const MachineModel &M,
+                        const PinterOptions &Opts, ColorFn &&Color) {
   if (Opts.UseRegions)
     regionHoist(F);
   preScheduleFunction(F, M);
@@ -207,20 +204,39 @@ void expectSameColoringEveryRound(Function F, const MachineModel &M,
     for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
       if (NoSpillRegs.count(W.webRegister(Web)))
         Costs[Web] = std::numeric_limits<double>::infinity();
-
-    Allocation Fast = pinterColor(PIG, Costs, NumRegs, Opts);
-    Allocation Ref = pinterColorReference(PIG, Costs, NumRegs, Opts);
-    ++Tally.Colorings;
-    Tally.Drops += Ref.ParallelEdgesDropped;
-    Tally.Spills += static_cast<unsigned>(Ref.SpilledWebs.size());
-    EXPECT_EQ(Fast.ColorOfWeb, Ref.ColorOfWeb);
-    EXPECT_EQ(Fast.NumColorsUsed, Ref.NumColorsUsed);
-    EXPECT_EQ(Fast.SpilledWebs, Ref.SpilledWebs);
-    EXPECT_EQ(Fast.ParallelEdgesDropped, Ref.ParallelEdgesDropped);
-    if (testing::Test::HasFailure() || Ref.fullyColored())
+    Allocation A = Color(std::as_const(F), PIG, Costs);
+    if (testing::Test::HasFailure() || A.fullyColored())
       return;
-    insertSpillCode(F, W, Ref.SpilledWebs, NoSpillRegs);
+    insertSpillCode(F, W, A.SpilledWebs, NoSpillRegs);
   }
+}
+
+/// Checks at every round of forEachPinterRound with \p NumRegs registers
+/// that pinterColor returns exactly the Allocation of
+/// pinterColorReference.
+void expectSameColoringEveryRound(Function F, const MachineModel &M,
+                                  unsigned NumRegs, const PinterOptions &Opts,
+                                  const std::string &What,
+                                  ColoringTally &Tally) {
+  SCOPED_TRACE(What + " r=" + std::to_string(NumRegs) + " weights (" +
+               std::to_string(Opts.InterferenceWeight) + ", " +
+               std::to_string(Opts.ParallelWeight) + ")" +
+               (Opts.UseRegions ? " regions" : ""));
+  forEachPinterRound(
+      std::move(F), M, Opts,
+      [&](const Function &, const ParallelInterferenceGraph &PIG,
+          const std::vector<double> &Costs) {
+        Allocation Fast = pinterColor(PIG, Costs, NumRegs, Opts);
+        Allocation Ref = pinterColorReference(PIG, Costs, NumRegs, Opts);
+        ++Tally.Colorings;
+        Tally.Drops += Ref.ParallelEdgesDropped;
+        Tally.Spills += static_cast<unsigned>(Ref.SpilledWebs.size());
+        EXPECT_EQ(Fast.ColorOfWeb, Ref.ColorOfWeb);
+        EXPECT_EQ(Fast.NumColorsUsed, Ref.NumColorsUsed);
+        EXPECT_EQ(Fast.SpilledWebs, Ref.SpilledWebs);
+        EXPECT_EQ(Fast.ParallelEdgesDropped, Ref.ParallelEdgesDropped);
+        return Ref;
+      });
 }
 
 /// register_sweep's register counts, plus the perf benchmarks' 16.
@@ -559,32 +575,19 @@ void expectClosureMatchesReference(const Function &F, const MachineModel &M,
   }
 }
 
-/// Follows \p F through the combined allocator's rounds with \p NumRegs
-/// registers (EP reordering once, then color, insert spill code, repeat)
-/// and checks every block's closure before each round's coloring.
+/// Checks every block's closure before each round of forEachPinterRound
+/// with \p NumRegs registers.
 void expectClosureEveryRound(Function F, const MachineModel &M,
                              unsigned NumRegs, const std::string &What,
                              ClosureTally &T) {
-  preScheduleFunction(F, M);
+  SCOPED_TRACE(What + " r=" + std::to_string(NumRegs));
   PinterOptions Opts;
-  std::set<Reg> NoSpillRegs;
-  for (unsigned Round = 0; Round != Opts.MaxRounds; ++Round) {
-    expectClosureMatchesReference(
-        F, M, What + " r=" + std::to_string(NumRegs) + " round " +
-                  std::to_string(Round),
-        T);
-    Webs W(F);
-    InterferenceGraph IG(F, W);
-    ParallelInterferenceGraph PIG(F, W, IG, M);
-    std::vector<double> Costs = computeSpillCosts(F, W);
-    for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
-      if (NoSpillRegs.count(W.webRegister(Web)))
-        Costs[Web] = std::numeric_limits<double>::infinity();
-    Allocation A = pinterColor(PIG, Costs, NumRegs, Opts);
-    if (A.fullyColored())
-      return;
-    insertSpillCode(F, W, A.SpilledWebs, NoSpillRegs);
-  }
+  forEachPinterRound(std::move(F), M, Opts,
+                     [&](const Function &G, const ParallelInterferenceGraph &PIG,
+                         const std::vector<double> &Costs) {
+                       expectClosureMatchesReference(G, M, What, T);
+                       return pinterColor(PIG, Costs, NumRegs, Opts);
+                     });
 }
 
 } // namespace
